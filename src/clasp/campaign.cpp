@@ -121,12 +121,10 @@ std::size_t campaign_runner::deploy(const campaign_config& config,
     // (download first — evaluate_hour and staging index paths 2i, 2i+1).
     arena_.add(sessions_.back().flat_download_path());
     arena_.add(sessions_.back().flat_upload_path());
-    if (config_.link_cache) {
-      // Register the union of this campaign's path links so run_hour's
-      // prefill turns the hot-loop evaluations into table lookups.
-      view_->link_cache().register_path(sessions_.back().download_path());
-      view_->link_cache().register_path(sessions_.back().upload_path());
-    }
+    // Register the union of this campaign's path links so run_hour's
+    // prefill turns the hot-loop evaluations into table lookups.
+    view_->link_cache().register_path(sessions_.back().download_path());
+    view_->link_cache().register_path(sessions_.back().upload_path());
 
     // Intern the session's series once; the hourly loop appends through
     // integer refs with no string formatting or map lookups.
@@ -313,61 +311,60 @@ void campaign_runner::begin_hour(hour_stamp at) {
 
 void campaign_runner::run_hour(hour_stamp at) {
   if (!deployed_) throw state_error("campaign_runner: not deployed");
-  const bool obs_on = obs::enabled();
-  const auto hour_begin =
-      obs_on ? std::chrono::steady_clock::now()
-             : std::chrono::steady_clock::time_point{};
+  const auto hour_begin = std::chrono::steady_clock::now();
   const std::int64_t h = at.hours_since_epoch();
   {
     const obs::trace_span span(obs::phase::begin_hour, h);
     begin_hour(at);
   }
-  // Prefill the shared hour-epoch cache before any worker starts reading;
-  // the pool's batch join publishes the writes (see condition_cache.hpp).
-  if (config_.link_cache) {
+  // Prefill the shared hour-epoch cache before any worker starts reading
+  // (the pool's batch join publishes the writes — see condition_cache.hpp),
+  // then sweep every session path's metrics for this hour. Both are
+  // hour-top precomputation no worker overlaps with, so both count as
+  // the prefill phase.
+  {
     const obs::trace_span span(obs::phase::prefill, h);
     view_->link_cache().prefill(at, pool_.get());
-  }
-  // Batched arena sweep: every session path's metrics for this hour,
-  // computed once on the coordinator (attributed to the prefill phase —
-  // both are hour-top precomputation no worker overlaps with).
-  if (config_.batch_eval) {
-    const obs::trace_span span(obs::phase::prefill, h);
     evaluate_hour(at, pool_.get());
   }
+  // Stage every slot before committing any: staging reads only immutable
+  // state and per-(VM, hour) streams, so a slot that throws (a strict
+  // hour budget) leaves the store, the bill and the WAL untouched.
   staging_.resize(vms_.size());
-  // Durable runs log each staged record before committing it; the flush
-  // below is the hour's durability point. Workers never touch the log —
-  // the coordinator appends in slot order at the hour barrier, so the
-  // WAL's (hour asc, slot asc) order is a structural invariant replay
-  // can rely on.
-  if (pool_) {
-    {
-      const obs::trace_span span(obs::phase::stage, h);
+  {
+    const obs::trace_span span(obs::phase::stage, h);
+    if (pool_) {
       pool_->parallel_for(vms_.size(), [&](std::size_t v) {
         stage_vm_hour_into(v, at, staging_[v]);
       });
+    } else {
+      for (std::size_t v = 0; v < vms_.size(); ++v) {
+        stage_vm_hour_into(v, at, staging_[v]);
+      }
     }
-    const obs::trace_span span(obs::phase::commit, h);
+  }
+  commit_hour(at, staging_, hour_begin);
+}
+
+void campaign_runner::commit_hour(
+    hour_stamp at, std::vector<vm_hour_staging>& staged,
+    std::chrono::steady_clock::time_point hour_begin) {
+  // Durable runs log each staged record before committing it; the flush
+  // below is the hour's durability point. Only the coordinator touches the
+  // log, appending in slot order at the hour barrier, so the WAL's (hour
+  // asc, slot asc) order is a structural invariant replay relies on — and
+  // the durable bytes and the store bytes cannot depend on which thread
+  // or process staged the records.
+  {
+    const obs::trace_span span(obs::phase::commit, at.hours_since_epoch());
     for (std::size_t v = 0; v < vms_.size(); ++v) {
-      if (wal_) wal_->append(encode_wal_record(v, staging_[v]));
-      commit_vm_hour(v, std::move(staging_[v]));
-    }
-  } else {
-    // Serial replay commits each VM right after staging it: identical
-    // order (staging reads only immutable state, commits stay in slot
-    // order) but the staged points are still cache-hot when merged. The
-    // fused loop is attributed to the `stage` phase.
-    const obs::trace_span span(obs::phase::stage, h);
-    for (std::size_t v = 0; v < vms_.size(); ++v) {
-      stage_vm_hour_into(v, at, staging_[v]);
-      if (wal_) wal_->append(encode_wal_record(v, staging_[v]));
-      commit_vm_hour(v, std::move(staging_[v]));
+      if (wal_) wal_->append(encode_wal_record(v, staged[v]));
+      commit_vm_hour(v, std::move(staged[v]));
     }
   }
   if (wal_) wal_->flush();
   cursor_ = at + 1;
-  if (obs_on) {
+  if (obs::enabled()) {
     publish_hour_metrics(std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - hour_begin)
                              .count());
@@ -376,7 +373,6 @@ void campaign_runner::run_hour(hour_stamp at) {
 
 void campaign_runner::evaluate_hour(hour_stamp at, thread_pool* pool) {
   if (!deployed_) throw state_error("campaign_runner: not deployed");
-  if (!config_.batch_eval || sessions_.empty()) return;
   if (!arena_resolved_) {
     // Condition-cache slots are stable once assigned (registration only
     // appends), so one resolution after deploy's register_path calls
@@ -386,7 +382,6 @@ void campaign_runner::evaluate_hour(hour_stamp at, thread_pool* pool) {
   }
   const std::size_t paths = arena_.size();
   hour_metrics_.resize(paths);
-  if (pool == nullptr) pool = pool_.get();
   // Fixed-size blocks: large enough to amortize pool dispatch, small
   // enough to load-balance. Each block writes a disjoint output range and
   // path metrics are independent, so block boundaries and scheduling
@@ -404,7 +399,6 @@ void campaign_runner::evaluate_hour(hour_stamp at, thread_pool* pool) {
     view_->evaluate_batch(arena_, at, 0, paths, hour_metrics_.data());
   }
   hour_metrics_hour_ = at.hours_since_epoch();
-  hour_metrics_valid_ = true;
   batch_groups_ = blocks;
   if (obs::enabled()) {
     metrics_.batch_groups->set(static_cast<double>(blocks));
@@ -421,25 +415,12 @@ void campaign_runner::stage_shard_hour(hour_stamp at, std::size_t slot_begin,
   const std::int64_t h = at.hours_since_epoch();
   // Everything below runs on the calling thread. A dist worker is
   // typically a fork() of a process whose pool threads did not survive,
-  // so this path must never dispatch to pool_ (prefill and the batch
-  // sweep take an explicit null pool; block count 1 keeps the sweep one
-  // serial pass, which cannot change any value — see evaluate_hour).
-  if (config_.link_cache) {
+  // so this path must never dispatch to pool_: prefill and the batch
+  // sweep take an explicit null pool.
+  {
     const obs::trace_span span(obs::phase::prefill, h);
     view_->link_cache().prefill(at, nullptr);
-  }
-  if (config_.batch_eval && !sessions_.empty()) {
-    const obs::trace_span span(obs::phase::prefill, h);
-    if (!arena_resolved_) {
-      arena_.resolve(view_->link_cache());
-      arena_resolved_ = true;
-    }
-    hour_metrics_.resize(arena_.size());
-    view_->evaluate_batch(arena_, at, 0, arena_.size(),
-                          hour_metrics_.data());
-    hour_metrics_hour_ = h;
-    hour_metrics_valid_ = true;
-    batch_groups_ = 1;
+    evaluate_hour(at, nullptr);
   }
   out.resize(slot_end - slot_begin);
   const obs::trace_span span(obs::phase::stage, h);
@@ -464,30 +445,12 @@ void campaign_runner::commit_hour_group(hour_stamp at,
           "campaign_runner: hour group record staged for a different hour");
     }
   }
-  const bool obs_on = obs::enabled();
-  const auto hour_begin =
-      obs_on ? std::chrono::steady_clock::now()
-             : std::chrono::steady_clock::time_point{};
-  const std::int64_t h = at.hours_since_epoch();
+  const auto hour_begin = std::chrono::steady_clock::now();
   {
-    const obs::trace_span span(obs::phase::begin_hour, h);
+    const obs::trace_span span(obs::phase::begin_hour, at.hours_since_epoch());
     begin_hour(at);
   }
-  // Same commit phase as run_hour: WAL in slot order at the barrier, then
-  // slot-order merges — the durable bytes and the store bytes cannot
-  // depend on which process staged the records.
-  const obs::trace_span span(obs::phase::commit, h);
-  for (std::size_t v = 0; v < vms_.size(); ++v) {
-    if (wal_) wal_->append(encode_wal_record(v, group[v]));
-    commit_vm_hour(v, std::move(group[v]));
-  }
-  if (wal_) wal_->flush();
-  cursor_ = at + 1;
-  if (obs_on) {
-    publish_hour_metrics(std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - hour_begin)
-                             .count());
-  }
+  commit_hour(at, group, hour_begin);
 }
 
 void campaign_runner::publish_hour_metrics(double hour_seconds) {
@@ -580,18 +543,15 @@ void campaign_runner::emit_heartbeat() const {
   log_message(log_level::info, "heartbeat", line);
 }
 
-campaign_runner::vm_hour_staging campaign_runner::stage_vm_hour(
-    std::size_t vm_slot, hour_stamp at) const {
-  vm_hour_staging out;
-  stage_vm_hour_into(vm_slot, at, out);
-  return out;
-}
-
 void campaign_runner::stage_vm_hour_into(std::size_t vm_slot, hour_stamp at,
                                          vm_hour_staging& out) const {
   if (!deployed_) throw state_error("campaign_runner: not deployed");
   if (vm_slot >= vms_.size()) {
     throw invalid_argument_error("campaign_runner: bad vm slot");
+  }
+  if (hour_metrics_hour_ != at.hours_since_epoch()) {
+    throw state_error("campaign_runner: hour " + at.to_string() +
+                      " has not been evaluated; call evaluate_hour first");
   }
   out.at = at;
   out.points.clear();
@@ -635,11 +595,6 @@ void campaign_runner::stage_vm_hour_into(std::size_t vm_slot, hour_stamp at,
   order.assign(vm_session_index_.begin() + s_begin,
                vm_session_index_.begin() + s_end);
   r.shuffle(order);
-  // Consume the hour's batched path metrics when evaluate_hour() computed
-  // them for exactly this hour; otherwise (batch disabled, or a direct
-  // stage_vm_hour caller) evaluate per session — bit-identical either way.
-  const bool batched = config_.batch_eval && hour_metrics_valid_ &&
-                       hour_metrics_hour_ == at.hours_since_epoch();
   const machine_type& machine = cloud_->vm(vms_[vm_slot]).type;
   double artifact_mb = 0.2;  // someta metadata baseline
   // Each attempt — including a retry of an aborted transfer — consumes
@@ -655,7 +610,7 @@ void campaign_runner::stage_vm_hour_into(std::size_t vm_slot, hour_stamp at,
     // with this iteration's noise-model math (advisory, value-neutral).
     if (oi + 2 < order.size()) {
       const std::uint32_t ahead = order[oi + 2];
-      if (batched) __builtin_prefetch(&hour_metrics_[2 * ahead]);
+      __builtin_prefetch(&hour_metrics_[2 * ahead]);
       __builtin_prefetch(&sessions_[ahead]);
       __builtin_prefetch(&series_refs_[ahead]);
     }
@@ -680,10 +635,8 @@ void campaign_runner::stage_vm_hour_into(std::size_t vm_slot, hour_stamp at,
       // Path conditions are a pure function of (session, hour), so a
       // retry re-measures the same conditions with fresh client noise —
       // the batched metrics serve every attempt of the hour.
-      const speed_test_report report =
-          batched ? session.run_with_metrics(hour_metrics_[2 * si],
-                                             hour_metrics_[2 * si + 1], at, r)
-                  : session.run(at, r);
+      const speed_test_report report = session.run_with_metrics(
+          hour_metrics_[2 * si], hour_metrics_[2 * si + 1], at, r);
       if (aborted) {
         // Truncated transfer: the test produced no metrics, but the bytes
         // sent before the abort are still billed egress and a partial

@@ -30,6 +30,8 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -64,23 +66,6 @@ struct campaign_config {
   // thread, 0 means hardware_concurrency. Any value produces identical
   // results.
   unsigned workers{1};
-  // Hour-epoch link-condition caching: deploy() registers the union of
-  // the sessions' path links with the view's condition_cache and run_hour
-  // prefills it before staging. Off means every evaluation recomputes the
-  // load model directly; results are bit-identical either way (the cache
-  // stores exactly what the model computes), so this knob trades memory
-  // for speed and nothing else.
-  bool link_cache{true};
-  // Batched link-hour evaluation: evaluate_hour() sweeps every session's
-  // two paths through one structure-of-arrays arena pass at the top of
-  // the hour, and staging consumes the precomputed per-path metrics
-  // instead of evaluating per session (and per retry attempt). Off falls
-  // back to the per-session evaluate() path; results are bit-identical
-  // either way (path conditions are a pure function of the hour, and the
-  // batch sweep performs the same floating-point operations in the same
-  // order), so this knob — like link_cache — trades memory for speed and
-  // nothing else.
-  bool batch_eval{true};
   // Deterministic fault injection (server churn, transient test
   // failures, VM preemption, upload failures). Disabled by default;
   // disabled output is byte-identical to a faults-free build, and
@@ -169,12 +154,14 @@ class campaign_runner {
   // when durable. Returns false when interrupted before reaching `stop`.
   bool run_until(hour_stamp stop);
 
-  // Run one hour of the campaign: stage all VMs (in parallel when the
-  // campaign was configured with workers != 1), then merge in slot order.
+  // Run one hour of the campaign: fault events, cache prefill and the
+  // batched path sweep, then stage every VM (in parallel when the campaign
+  // was configured with workers != 1), then commit in slot order. A slot
+  // that throws while staging leaves the hour uncommitted.
   void run_hour(hour_stamp at);
 
-  // Coordinator-only fault-plan hour events, called by run_hour (and by
-  // clasp_platform::run_campaigns) before any staging worker starts:
+  // Coordinator-only fault-plan hour events, called by run_hour and
+  // commit_hour_group before any record of the hour is staged/committed:
   // servers withdrawing at `at` are retired from the churn registry, VMs
   // whose maintenance window starts/ends at `at` are preempted/
   // redeployed. No-op when faults are disabled.
@@ -184,13 +171,10 @@ class campaign_runner {
   // after the cache prefill and before any staging worker starts): one
   // linear sweep over the session-path arena computes every session's
   // download/upload path_metrics for `at`, fanned out in fixed-size
-  // blocks across `pool` (or the campaign's own pool when null; serial
-  // when neither exists — block boundaries cannot change values, the
-  // outputs are per-path). stage_vm_hour_into then reads the precomputed
-  // metrics instead of evaluating per session. No-op when
-  // config().batch_eval is false or with no sessions; staging falls back
-  // to per-session evaluation whenever the staged hour was not the last
-  // evaluated one, so direct stage_vm_hour() callers stay correct.
+  // blocks across `pool` (serial when null — block boundaries cannot
+  // change values, the outputs are per-path). stage_vm_hour_into reads
+  // the precomputed metrics, so it requires `at` to be the last
+  // evaluated hour.
   void evaluate_hour(hour_stamp at, thread_pool* pool = nullptr);
 
   // Registry to retire churned servers from (so withdrawn servers vanish
@@ -208,8 +192,7 @@ class campaign_runner {
 
   // --- staged execution (the advanced API behind run_hour) ---
   // Everything one VM produces in one hour, accumulated off-thread and
-  // merged by the coordinator. Also used by clasp_platform::run_campaigns
-  // to fan several campaigns' fleets into one pool.
+  // merged by the coordinator.
   struct staged_point {
     series_ref ref;
     double value{0.0};
@@ -231,13 +214,12 @@ class campaign_runner {
     std::size_t tests_missed{0};
     bool upload_failed{false};                 // artifact put injected away
   };
-  // Stage one VM's hour. Const and thread-safe: touches only immutable
-  // deployment state and a stream RNG derived from (label, region,
-  // vm_slot, hour).
-  vm_hour_staging stage_vm_hour(std::size_t vm_slot, hour_stamp at) const;
-  // Allocation-free variant: stages into `out`, clearing it first but
-  // keeping its buffers, so an hour-stepping driver can reuse one staging
-  // slot per task across the whole window.
+  // Stage one VM's hour into `out`, clearing it first but keeping its
+  // buffers, so an hour-stepping driver can reuse one staging slot per
+  // task across the whole window. Const and thread-safe: touches only
+  // immutable deployment state, the hour's evaluate_hour() metrics and a
+  // stream RNG derived from (label, region, vm_slot, hour). Throws
+  // state_error when `at` is not the last hour evaluate_hour() swept.
   void stage_vm_hour_into(std::size_t vm_slot, hour_stamp at,
                           vm_hour_staging& out) const;
   // Merge one staged VM-hour: TSDB appends, someta samples, billing.
@@ -247,7 +229,7 @@ class campaign_runner {
   // --- distributed replay support (src/dist/) ---
   // Stage one hour of the VM slots [slot_begin, slot_end) into `out`
   // (resized to the slot count), entirely on the calling thread: serial
-  // cache prefill, serial batched evaluation, serial staging. Never
+  // cache prefill, evaluate_hour(at, nullptr), serial staging. Never
   // touches the worker pool, so it is safe in a fork()ed worker process
   // whose pool threads did not survive the fork. Byte-identical to the
   // same slots staged by run_hour.
@@ -255,10 +237,10 @@ class campaign_runner {
                         std::size_t slot_end,
                         std::vector<vm_hour_staging>& out);
   // Commit one complete hour group staged elsewhere (shard workers):
-  // coordinator hour events, then WAL-log + commit every slot in
-  // ascending order, then advance the cursor — exactly the bytes
-  // run_hour's commit phase produces. `group` must hold vm_count()
-  // records, slot v at index v, all staged for `at` == cursor().
+  // coordinator hour events, then run_hour's own commit step — exactly
+  // the bytes a single-process run_hour produces. `group` must hold
+  // vm_count() records, slot v at index v, all staged for `at` ==
+  // cursor().
   void commit_hour_group(hour_stamp at, std::vector<vm_hour_staging>&& group);
   // WAL/shard record codec, also the dist wire format for one staged
   // (VM, hour): the coordinator decodes exactly what a worker encoded.
@@ -411,6 +393,13 @@ class campaign_runner {
     obs::counter* dist_failovers{nullptr};
     obs::histogram* hour_seconds{nullptr};
   };
+  // The hour's commit step, shared by run_hour and commit_hour_group:
+  // WAL-append and commit_vm_hour every slot of `staged` in ascending
+  // order, flush the WAL, advance the cursor and publish hour metrics
+  // (timed from `hour_begin`).
+  void commit_hour(hour_stamp at, std::vector<vm_hour_staging>& staged,
+                   std::chrono::steady_clock::time_point hour_begin);
+
   void resolve_metrics();
   // Hour-close bookkeeping: counters/gauges, the hour-duration histogram
   // and (on the configured cadence) the heartbeat line. Only called when
@@ -443,10 +432,10 @@ class campaign_runner {
   path_arena arena_;
   bool arena_resolved_{false};
   // Per-path metrics of the last evaluate_hour() sweep, indexed like the
-  // arena. Valid only for hour_metrics_hour_ (staging checks before use).
+  // arena. Valid only for hour_metrics_hour_ (staging checks before use;
+  // the initial value matches no hour).
   std::vector<path_metrics> hour_metrics_;
-  std::int64_t hour_metrics_hour_{0};
-  bool hour_metrics_valid_{false};
+  std::int64_t hour_metrics_hour_{std::numeric_limits<std::int64_t>::min()};
   std::size_t batch_groups_{0};  // blocks of the last sweep (heartbeat)
   // series_refs_[i] = interned store handles for sessions_[i].
   std::vector<session_series> series_refs_;

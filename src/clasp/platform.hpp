@@ -75,14 +75,6 @@ struct platform_config {
   // 1 = serial, 0 = hardware_concurrency. Any value yields bit-identical
   // campaign results (see DESIGN.md, "Concurrency model & determinism").
   unsigned campaign_workers{1};
-  // Hour-epoch link-condition caching for every campaign this platform
-  // deploys (campaign_config::link_cache). Off only costs speed: results
-  // are bit-identical either way.
-  bool campaign_link_cache{true};
-  // Batched link-hour evaluation for every campaign this platform deploys
-  // (campaign_config::batch_eval). Off only costs speed: results are
-  // bit-identical either way.
-  bool campaign_batch_eval{true};
   // Synthetic fleet multiplier (internet_config::fleet_scale, mirrored
   // here so the config loader and CLI have one campaign-facing knob):
   // every campaign measures fleet_scale x the selected servers, the extra
@@ -177,16 +169,6 @@ class clasp_platform {
   const std::vector<std::unique_ptr<campaign_runner>>& campaigns() const {
     return campaigns_;
   }
-
-  // Cross-region fan-out: drive several deployed campaigns hour-by-hour
-  // with one shared worker pool. Each hour, every (campaign, VM) pair in
-  // the union of the campaigns' windows is staged in parallel, then
-  // committed in (campaign order, VM-slot order) — so each campaign's
-  // results are bit-identical to running it alone with any worker count.
-  // `workers` = 0 means hardware_concurrency. Storage is billed per
-  // campaign at the end, as campaign_runner::run does.
-  void run_campaigns(const std::vector<campaign_runner*>& runners,
-                     unsigned workers = 0);
 
   // --- helpers ---
   timezone_offset timezone_of_server(std::size_t server_id) const;

@@ -1,25 +1,27 @@
 // Fault-injected replay: determinism, health accounting and detector
 // robustness.
 //
-//  * faults-on output must be byte-identical across workers 1/2/8 and
-//    with the link-condition cache on or off (the schedule and every
-//    fault draw come from dedicated counter-based streams);
+//  * faults-on output must be byte-identical across workers 1/2/8 (the
+//    schedule and every fault draw come from dedicated counter-based
+//    streams);
 //  * enabling faults with all rates at zero must leave the measurement
 //    output identical to faults-off (zero extra draws on the
 //    measurement streams);
 //  * campaign_health completeness must match the injected outage and
 //    churn schedule exactly;
 //  * strict_hour_budget surfaces budget_exceeded_error (catchable as
-//    clasp::error) through the staging path and the worker pool;
+//    clasp::error) through the staging path and the worker pool, and an
+//    hour that throws commits nothing;
 //  * the V_H detector's precision/recall on planted ground truth at the
 //    "low" fault rate must stay within 2 points of the fault-free run.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "test_support.hpp"
@@ -31,8 +33,7 @@ namespace {
 using ::clasp::testing::small_internet_config;
 using ::clasp::testing::small_server_config;
 
-platform_config faulty_config(unsigned workers, bool link_cache,
-                              const std::string& preset) {
+platform_config faulty_config(unsigned workers, const std::string& preset) {
   platform_config cfg;
   cfg.internet = small_internet_config();
   cfg.internet.seed = 777;
@@ -46,7 +47,6 @@ platform_config faulty_config(unsigned workers, bool link_cache,
   cfg.servers.global_server_target = 600;
   cfg.topology_budgets = {{"us-west1", 40}};
   cfg.campaign_workers = workers;
-  cfg.campaign_link_cache = link_cache;
   cfg.campaign_faults = fault_config::preset(preset);
   // Raise the stress scenario's preemption rate so a short window
   // reliably exercises the preempt/redeploy path on this tiny fleet;
@@ -90,18 +90,17 @@ faulty_snapshot snapshot_of(clasp_platform& p, campaign_runner& c) {
   return snap;
 }
 
-// One platform per (workers, link_cache, preset), memoized: platform
-// construction dominates this suite's runtime.
-const faulty_snapshot& run_once(unsigned workers, bool link_cache,
-                                const std::string& preset) {
-  using key_t = std::tuple<unsigned, bool, std::string>;
+// One platform per (workers, preset), memoized: platform construction
+// dominates this suite's runtime.
+const faulty_snapshot& run_once(unsigned workers, const std::string& preset) {
+  using key_t = std::pair<unsigned, std::string>;
   static std::map<key_t, faulty_snapshot>* memo =
       new std::map<key_t, faulty_snapshot>();
-  const key_t key{workers, link_cache, preset};
+  const key_t key{workers, preset};
   const auto it = memo->find(key);
   if (it != memo->end()) return it->second;
 
-  clasp_platform p(faulty_config(workers, link_cache, preset));
+  clasp_platform p(faulty_config(workers, preset));
   campaign_runner& c = p.start_topology_campaign("us-west1", four_days());
   c.run();
   return memo->emplace(key, snapshot_of(p, c)).first->second;
@@ -129,15 +128,14 @@ void expect_identical(const faulty_snapshot& a, const faulty_snapshot& b) {
   }
 }
 
-TEST(CampaignFaultsTest, FaultsOnIsByteIdenticalAcrossWorkersAndCache) {
-  const faulty_snapshot& reference = run_once(1, true, "high");
+TEST(CampaignFaultsTest, FaultsOnIsByteIdenticalAcrossWorkers) {
+  const faulty_snapshot& reference = run_once(1, "high");
   ASSERT_FALSE(reference.csv.empty());
   // High rates actually exercised something.
   EXPECT_GT(reference.health.total_retries, 0u);
   EXPECT_GT(reference.health.withdrawn_servers, 0u);
   for (const unsigned workers : {1u, 2u, 8u}) {
-    expect_identical(reference, run_once(workers, true, "high"));
-    expect_identical(reference, run_once(workers, false, "high"));
+    expect_identical(reference, run_once(workers, "high"));
   }
 }
 
@@ -145,11 +143,11 @@ TEST(CampaignFaultsTest, ZeroRatesMatchFaultsOffMetrics) {
   // Enabled-with-zero-rates draws nothing from the measurement streams,
   // so every metric matches the faults-off run; only the test_status
   // series is extra.
-  clasp_platform off(faulty_config(1, true, "off"));
+  clasp_platform off(faulty_config(1, "off"));
   campaign_runner& c_off = off.start_topology_campaign("us-west1", four_days());
   c_off.run();
 
-  platform_config zero_cfg = faulty_config(1, true, "off");
+  platform_config zero_cfg = faulty_config(1, "off");
   zero_cfg.campaign_faults.enabled = true;  // all rates stay 0
   clasp_platform zero(zero_cfg);
   campaign_runner& c_zero = zero.start_topology_campaign("us-west1", four_days());
@@ -175,7 +173,7 @@ TEST(CampaignFaultsTest, ZeroRatesMatchFaultsOffMetrics) {
 TEST(CampaignFaultsTest, HealthMatchesInjectedOutageScheduleExactly) {
   // Hand-injected outages with zero fault rates: the health report must
   // reproduce the schedule hour for hour.
-  platform_config cfg = faulty_config(1, true, "off");
+  platform_config cfg = faulty_config(1, "off");
   cfg.campaign_faults.enabled = true;
   clasp_platform p(cfg);
   campaign_runner& c = p.start_topology_campaign("us-west1", four_days());
@@ -221,7 +219,7 @@ TEST(CampaignFaultsTest, HealthMatchesInjectedOutageScheduleExactly) {
 TEST(CampaignFaultsTest, StrictBudgetSurfacesBudgetExceededError) {
   // A 100% failure rate with a strict budget: retries starve later
   // sessions of their slots on the very first hour.
-  platform_config cfg = faulty_config(1, true, "off");
+  platform_config cfg = faulty_config(1, "off");
   cfg.campaign_faults.enabled = true;
   cfg.campaign_faults.test_failure_rate = 1.0;
   cfg.campaign_faults.max_retries = 16;
@@ -242,6 +240,58 @@ TEST(CampaignFaultsTest, StrictBudgetSurfacesBudgetExceededError) {
   }
 }
 
+TEST(CampaignFaultsTest, ThrowingHourCommitsNothing) {
+  // A strict budget that starves a later slot (not slot 0) of the hour:
+  // run_hour throws before any slot of that hour is committed, so the
+  // store, the test count and the bill are exactly as before the call.
+  platform_config cfg = faulty_config(1, "off");
+  cfg.campaign_faults.enabled = true;
+  cfg.campaign_faults.test_failure_rate = 0.15;
+  cfg.campaign_faults.max_retries = 16;
+  cfg.campaign_faults.strict_hour_budget = true;
+
+  for (const unsigned workers : {1u, 4u}) {
+    cfg.campaign_workers = workers;
+    clasp_platform p(cfg);
+    campaign_runner& c = p.start_topology_campaign("us-west1", four_days());
+    ASSERT_GT(c.vm_count(), 1u);
+    // Replay clean hours until one whose first starving slot is not 0,
+    // found by staging that hour's slots directly.
+    std::optional<hour_stamp> target;
+    campaign_runner::vm_hour_staging scratch;
+    for (hour_stamp at = four_days().begin_at; at < four_days().end_at;
+         ++at) {
+      p.view().link_cache().prefill(at);
+      c.evaluate_hour(at);
+      std::size_t first_starving = c.vm_count();
+      for (std::size_t v = 0; v < c.vm_count(); ++v) {
+        try {
+          c.stage_vm_hour_into(v, at, scratch);
+        } catch (const budget_exceeded_error&) {
+          first_starving = v;
+          break;
+        }
+      }
+      if (first_starving == c.vm_count()) {
+        c.run_hour(at);
+      } else if (first_starving > 0) {
+        target = at;
+        break;
+      }
+    }
+    ASSERT_TRUE(target.has_value()) << "workers " << workers;
+    ASSERT_GT(c.tests_run(), 0u);
+
+    const std::size_t points = p.store().point_count();
+    const std::size_t tests = c.tests_run();
+    const double bill = p.cloud().costs().total();
+    EXPECT_THROW(c.run_hour(*target), budget_exceeded_error);
+    EXPECT_EQ(p.store().point_count(), points) << "workers " << workers;
+    EXPECT_EQ(c.tests_run(), tests) << "workers " << workers;
+    EXPECT_EQ(p.cloud().costs().total(), bill) << "workers " << workers;
+  }
+}
+
 TEST(CampaignFaultsTest, LowFaultRateKeepsDetectorWithinTwoPoints) {
   // Gap tolerance end to end: precision/recall of the V_H detector
   // against planted ground truth, fault-free vs the "low" preset.
@@ -250,7 +300,7 @@ TEST(CampaignFaultsTest, LowFaultRateKeepsDetectorWithinTwoPoints) {
   // fault impact, not small-sample noise.
   const hour_range window{four_days().begin_at, four_days().begin_at + 240};
   auto validated = [&](const std::string& preset) {
-    clasp_platform p(faulty_config(1, true, preset));
+    clasp_platform p(faulty_config(1, preset));
     campaign_runner& c = p.start_topology_campaign("us-west1", window);
     c.run();
     detector_validation total;
@@ -281,8 +331,8 @@ TEST(CampaignFaultsTest, LowFaultRateKeepsDetectorWithinTwoPoints) {
 
 TEST(CampaignFaultsTest, AnalysisGapToleranceFiltersIncompleteServers) {
   // The analysis-side completeness helpers agree with campaign_health.
-  const faulty_snapshot& snap = run_once(1, true, "high");
-  clasp_platform p(faulty_config(1, true, "high"));
+  const faulty_snapshot& snap = run_once(1, "high");
+  clasp_platform p(faulty_config(1, "high"));
   campaign_runner& c = p.start_topology_campaign("us-west1", four_days());
   c.run();
   const auto data = p.download_series("topology", c.config().region);

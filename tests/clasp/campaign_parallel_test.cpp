@@ -1,11 +1,8 @@
 // Parallel replay determinism: the same campaign run with 1, 2 and 8
-// workers — and with the hour-epoch link-condition cache on or off —
-// must produce point-for-point identical TSDB contents, billing totals,
-// someta records and bucket artifacts. Every VM-hour draws from its own
-// counter-based RNG stream and staged results merge in VM-slot order, so
-// the worker count can only change wall-clock, never values; the cache
-// stores exactly what the load model computes, so it too is invisible in
-// the output.
+// workers must produce point-for-point identical TSDB contents, billing
+// totals, someta records and bucket artifacts. Every VM-hour draws from
+// its own counter-based RNG stream and staged results merge in VM-slot
+// order, so the worker count can only change wall-clock, never values.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,8 +11,6 @@
 #include <new>
 #include <sstream>
 #include <string>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "obs/families.hpp"
@@ -72,8 +67,7 @@ namespace {
 using ::clasp::testing::small_internet_config;
 using ::clasp::testing::small_server_config;
 
-platform_config tiny_config(unsigned workers, bool link_cache = true,
-                            bool batch_eval = true) {
+platform_config tiny_config(unsigned workers) {
   platform_config cfg;
   cfg.internet = small_internet_config();
   cfg.internet.seed = 777;
@@ -88,8 +82,6 @@ platform_config tiny_config(unsigned workers, bool link_cache = true,
   cfg.servers.global_server_target = 600;
   cfg.topology_budgets = {{"us-west1", 40}};
   cfg.campaign_workers = workers;
-  cfg.campaign_link_cache = link_cache;
-  cfg.campaign_batch_eval = batch_eval;
   return cfg;
 }
 
@@ -142,23 +134,20 @@ campaign_snapshot snapshot_of(clasp_platform& p, campaign_runner& c) {
   return snap;
 }
 
-// Each (workers, link_cache, batch_eval) platform is built once and its
-// snapshot shared across tests (platform construction dominates this
-// suite's runtime).
-const campaign_snapshot& run_once(unsigned workers, bool link_cache = true,
-                                  bool batch_eval = true) {
-  static std::map<std::tuple<unsigned, bool, bool>, campaign_snapshot>* memo =
-      new std::map<std::tuple<unsigned, bool, bool>, campaign_snapshot>();
-  const auto key = std::make_tuple(workers, link_cache, batch_eval);
-  const auto it = memo->find(key);
+// Each worker count's platform is built once and its snapshot shared
+// across tests (platform construction dominates this suite's runtime).
+const campaign_snapshot& run_once(unsigned workers) {
+  static std::map<unsigned, campaign_snapshot>* memo =
+      new std::map<unsigned, campaign_snapshot>();
+  const auto it = memo->find(workers);
   if (it != memo->end()) return it->second;
 
-  clasp_platform p(tiny_config(workers, link_cache, batch_eval));
+  clasp_platform p(tiny_config(workers));
   campaign_runner& c = p.start_topology_campaign("us-west1", two_days());
   // Exercise the outage path too: slot 0 down for four mid-window hours.
   c.inject_vm_outage(0, {two_days().begin_at + 20, two_days().begin_at + 24});
   c.run();
-  return memo->emplace(key, snapshot_of(p, c)).first->second;
+  return memo->emplace(workers, snapshot_of(p, c)).first->second;
 }
 
 void expect_identical(const campaign_snapshot& a, const campaign_snapshot& b) {
@@ -219,18 +208,6 @@ TEST(CampaignParallelTest, WorkerCountNeverChangesResults) {
   expect_identical(serial, eight);
 }
 
-TEST(CampaignParallelTest, LinkCacheNeverChangesResults) {
-  // The full cache on/off x workers 1/2/8 matrix must agree byte for
-  // byte (the cached runs come memoized from the test above when it ran
-  // first; order doesn't matter).
-  const campaign_snapshot& reference = run_once(1, /*link_cache=*/true);
-  ASSERT_FALSE(reference.csv.empty());
-  for (const unsigned workers : {1u, 2u, 8u}) {
-    expect_identical(reference, run_once(workers, /*link_cache=*/true));
-    expect_identical(reference, run_once(workers, /*link_cache=*/false));
-  }
-}
-
 TEST(CampaignParallelTest, MetricsNeverChangeResults) {
   // Observability must be a pure observer: the same campaign with the
   // obs subsystem recording (counters, spans, heartbeat cadence) must be
@@ -270,38 +247,6 @@ TEST(CampaignParallelTest, MetricsNeverChangeResults) {
   }
 }
 
-TEST(CampaignParallelTest, BatchEvalNeverChangesResults) {
-  // The legacy per-session path is kept: the full batch on/off x cache
-  // on/off x workers 1/2/8 matrix must agree byte for byte.
-  const campaign_snapshot& reference = run_once(1, /*link_cache=*/true,
-                                                /*batch_eval=*/true);
-  ASSERT_FALSE(reference.csv.empty());
-  for (const unsigned workers : {1u, 2u, 8u}) {
-    expect_identical(reference, run_once(workers, true, false));
-    expect_identical(reference, run_once(workers, false, false));
-    expect_identical(reference, run_once(workers, false, true));
-  }
-}
-
-TEST(CampaignParallelTest, FaultsWithBatchEvalAgree) {
-  // Retries are the risky path: a retried test in batch mode reuses the
-  // hour's precomputed path metrics, while the legacy path re-evaluates
-  // them per attempt. Both must produce the same bytes under the low
-  // fault preset (which exercises retries, churn and VM preemption).
-  campaign_snapshot snaps[2];
-  for (int b = 0; b < 2; ++b) {
-    platform_config cfg = tiny_config(1, /*link_cache=*/true,
-                                      /*batch_eval=*/b == 1);
-    cfg.campaign_faults = fault_config::preset("low");
-    clasp_platform p(cfg);
-    campaign_runner& c = p.start_topology_campaign("us-west1", two_days());
-    c.run();
-    snaps[b] = snapshot_of(p, c);
-  }
-  EXPECT_GT(snaps[0].tests_run, 0u);
-  expect_identical(snaps[0], snaps[1]);
-}
-
 TEST(CampaignParallelTest, SteadyStateStagingIsAllocationFree) {
   // The per-VM-hour worker path (stage_vm_hour_into after warmup) must
   // not touch the heap: every buffer it needs — staging vectors, the
@@ -333,22 +278,6 @@ TEST(CampaignParallelTest, SteadyStateStagingIsAllocationFree) {
   g_count_allocs.store(false);
   EXPECT_EQ(g_alloc_count.load(), 0u)
       << "stage_vm_hour_into allocated in steady state";
-}
-
-TEST(CampaignParallelTest, PlatformFanOutMatchesSerialRun) {
-  // Driving a campaign through the platform's cross-campaign fan-out
-  // must reproduce campaign_runner::run exactly — with the shared-cache
-  // prefill path on and off.
-  const campaign_snapshot& serial = run_once(1);
-
-  for (const bool link_cache : {true, false}) {
-    clasp_platform p(tiny_config(1, link_cache));
-    campaign_runner& c = p.start_topology_campaign("us-west1", two_days());
-    c.inject_vm_outage(0,
-                       {two_days().begin_at + 20, two_days().begin_at + 24});
-    p.run_campaigns({&c}, 4);
-    expect_identical(serial, snapshot_of(p, c));
-  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 
@@ -109,6 +113,62 @@ TEST(CampaignTest, NullDependenciesRejected) {
   EXPECT_THROW(
       campaign_runner(nullptr, &p.view(), &p.registry(), &p.store()),
       invalid_argument_error);
+}
+
+TEST(CampaignTest, StagingAnUnevaluatedHourThrows) {
+  // Staging reads evaluate_hour's batched path metrics; asking for an
+  // hour that was not the last one swept is a typed precondition error
+  // naming the hour, never a silent second evaluation path.
+  auto& p = small_platform();
+  campaign_runner runner(&p.cloud(), &p.view(), &p.registry(), &p.store());
+  campaign_config cfg;
+  cfg.region = "us-west2";
+  cfg.label = "unevaluated-hour";
+  const auto us = p.registry().crawl("US");
+  runner.deploy(cfg, {us[0], us[1]});
+  const hour_stamp at = cfg.window.begin_at;
+  campaign_runner::vm_hour_staging staged;
+  try {
+    runner.stage_vm_hour_into(0, at, staged);
+    FAIL() << "expected state_error";
+  } catch (const state_error& e) {
+    EXPECT_NE(std::string(e.what()).find(at.to_string()), std::string::npos)
+        << e.what();
+  }
+  p.view().link_cache().prefill(at);
+  runner.evaluate_hour(at);
+  runner.stage_vm_hour_into(0, at, staged);
+  EXPECT_EQ(staged.tests_run, 2u);
+  // Only the last swept hour is valid.
+  EXPECT_THROW(runner.stage_vm_hour_into(0, at + 1, staged), state_error);
+}
+
+TEST(CampaignTest, SerialRunRecordsStageAndCommitSpans) {
+  // Serial replay stages the whole hour, then commits it, so both phases
+  // show up in the trace: one stage and one commit span per hour.
+  auto& p = small_platform();
+  campaign_runner runner(&p.cloud(), &p.view(), &p.registry(), &p.store());
+  campaign_config cfg;
+  cfg.region = "us-west2";
+  cfg.label = "serial-spans";
+  const auto us = p.registry().crawl("US");
+  runner.deploy(cfg, {us[0], us[1], us[2]});
+  ASSERT_EQ(runner.workers(), 1u);
+
+  const bool was_enabled = obs::enabled();
+  obs::trace_ring::instance().reset();
+  obs::set_enabled(true);
+  constexpr std::uint64_t kHours = 5;
+  for (std::uint64_t i = 0; i < kHours; ++i) {
+    runner.run_hour(cfg.window.begin_at + static_cast<int>(i));
+  }
+  obs::set_enabled(was_enabled);
+  const auto rollups = obs::trace_ring::instance().rollups();
+  obs::trace_ring::instance().reset();
+  EXPECT_EQ(rollups[static_cast<std::size_t>(obs::phase::stage)].count,
+            kHours);
+  EXPECT_EQ(rollups[static_cast<std::size_t>(obs::phase::commit)].count,
+            kHours);
 }
 
 TEST(CampaignTest, DownloadValuesArePlausible) {

@@ -230,17 +230,28 @@ TEST(ConfigLoaderTest, ZeroCheckpointCadenceRejected) {
   }
 }
 
-TEST(ConfigLoaderTest, FleetScaleAndBatchEvalApply) {
-  const platform_config cfg = load_platform_config(
-      "[campaign]\n"
-      "fleet_scale = 10\n"
-      "batch_eval = false\n");
+TEST(ConfigLoaderTest, FleetScaleApplies) {
+  const platform_config cfg =
+      load_platform_config("[campaign]\nfleet_scale = 10\n");
   EXPECT_EQ(cfg.fleet_scale, 10u);
-  EXPECT_FALSE(cfg.campaign_batch_eval);
-  // Defaults: paper-scale fleet, batched evaluation on.
-  const platform_config defaults = load_platform_config("");
-  EXPECT_EQ(defaults.fleet_scale, 1u);
-  EXPECT_TRUE(defaults.campaign_batch_eval);
+  // Default: the paper-scale fleet.
+  EXPECT_EQ(load_platform_config("").fleet_scale, 1u);
+}
+
+TEST(ConfigLoaderTest, RemovedSpeedKnobKeysAreUnknown) {
+  // The link-condition cache and batched evaluation are always on; their
+  // old keys fail through the strict unknown-key error.
+  for (const char* key : {"link_cache", "batch_eval"}) {
+    try {
+      load_platform_config(std::string("[campaign]\n") + key + " = false\n");
+      FAIL() << "expected invalid_argument_error for " << key;
+    } catch (const invalid_argument_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("unknown key campaign.") + key),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(ConfigLoaderTest, ZeroFleetScaleRejected) {
