@@ -188,20 +188,16 @@ std::size_t campaign_runner::deploy(const campaign_config& config,
   return vms_.size();
 }
 
-bool campaign_runner::run() {
-  if (!run_until(config_.window.end_at)) return false;
-  // Bill monthly storage exactly once per campaign: a resume after the
-  // window completed (storage_billed_ restored from the checkpoint) must
-  // not double-charge.
-  if (!storage_billed_) charge_monthly_storage();
-  // Final checkpoint captures the storage bill, so resuming a finished
-  // campaign is a no-op.
-  if (durable()) checkpoint(config_.checkpoint_dir);
-  return true;
-}
+bool campaign_runner::run() { return run_until(config_.window.end_at); }
 
-bool campaign_runner::run_until(hour_stamp stop) {
+bool campaign_runner::run_until(
+    hour_stamp stop, const std::function<void(hour_stamp)>& advance_hour) {
   if (!deployed_) throw state_error("campaign_runner: not deployed");
+  if (stop > config_.window.end_at) {
+    throw invalid_argument_error(
+        "campaign_runner: run_until stop " + stop.to_string() +
+        " lies past the window end " + config_.window.end_at.to_string());
+  }
   // First durable hour: anchor the log with a checkpoint (possibly the
   // window-begin one) so WAL replay always has a base snapshot. resume()
   // already wrote one and opened the WAL.
@@ -216,13 +212,31 @@ bool campaign_runner::run_until(hour_stamp stop) {
           << cursor_.to_string();
       return false;
     }
-    run_hour(cursor_);  // advances cursor_
+    const hour_stamp at = cursor_;
+    if (advance_hour) {
+      advance_hour(at);
+    } else {
+      run_hour(at);
+    }
+    if (cursor_ != at + 1) {
+      throw state_error("campaign_runner: hour step for " + at.to_string() +
+                        " left the cursor at " + cursor_.to_string());
+    }
     if (durable() &&
         (cursor_.hours_since_epoch() - begin) %
                 static_cast<std::int64_t>(config_.checkpoint_every_hours) ==
             0) {
       checkpoint(config_.checkpoint_dir);
     }
+  }
+  if (cursor_ == config_.window.end_at) {
+    // Bill monthly storage exactly once per campaign: a resume after the
+    // window completed (storage_billed_ restored from the checkpoint) must
+    // not double-charge.
+    if (!storage_billed_) charge_monthly_storage();
+    // Final checkpoint captures the storage bill, so resuming a finished
+    // campaign is a no-op.
+    if (durable()) checkpoint(config_.checkpoint_dir);
   }
   return true;
 }
@@ -317,6 +331,15 @@ void campaign_runner::run_hour(hour_stamp at) {
     const obs::trace_span span(obs::phase::begin_hour, h);
     begin_hour(at);
   }
+  stage_hour(at, 0, vms_.size(), staging_, pool_.get());
+  commit_hour(at, staging_, hour_begin);
+}
+
+void campaign_runner::stage_hour(hour_stamp at, std::size_t slot_begin,
+                                 std::size_t slot_end,
+                                 std::vector<vm_hour_staging>& out,
+                                 thread_pool* pool) {
+  const std::int64_t h = at.hours_since_epoch();
   // Prefill the shared hour-epoch cache before any worker starts reading
   // (the pool's batch join publishes the writes — see condition_cache.hpp),
   // then sweep every session path's metrics for this hour. Both are
@@ -324,26 +347,23 @@ void campaign_runner::run_hour(hour_stamp at) {
   // the prefill phase.
   {
     const obs::trace_span span(obs::phase::prefill, h);
-    view_->link_cache().prefill(at, pool_.get());
-    evaluate_hour(at, pool_.get());
+    view_->link_cache().prefill(at, pool);
+    evaluate_hour(at, pool);
   }
   // Stage every slot before committing any: staging reads only immutable
   // state and per-(VM, hour) streams, so a slot that throws (a strict
   // hour budget) leaves the store, the bill and the WAL untouched.
-  staging_.resize(vms_.size());
-  {
-    const obs::trace_span span(obs::phase::stage, h);
-    if (pool_) {
-      pool_->parallel_for(vms_.size(), [&](std::size_t v) {
-        stage_vm_hour_into(v, at, staging_[v]);
-      });
-    } else {
-      for (std::size_t v = 0; v < vms_.size(); ++v) {
-        stage_vm_hour_into(v, at, staging_[v]);
-      }
+  out.resize(slot_end - slot_begin);
+  const obs::trace_span span(obs::phase::stage, h);
+  if (pool != nullptr) {
+    pool->parallel_for(out.size(), [&](std::size_t i) {
+      stage_vm_hour_into(slot_begin + i, at, out[i]);
+    });
+  } else {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      stage_vm_hour_into(slot_begin + i, at, out[i]);
     }
   }
-  commit_hour(at, staging_, hour_begin);
 }
 
 void campaign_runner::commit_hour(
@@ -412,21 +432,9 @@ void campaign_runner::stage_shard_hour(hour_stamp at, std::size_t slot_begin,
   if (slot_begin >= slot_end || slot_end > vms_.size()) {
     throw invalid_argument_error("campaign_runner: bad shard slot range");
   }
-  const std::int64_t h = at.hours_since_epoch();
-  // Everything below runs on the calling thread. A dist worker is
-  // typically a fork() of a process whose pool threads did not survive,
-  // so this path must never dispatch to pool_: prefill and the batch
-  // sweep take an explicit null pool.
-  {
-    const obs::trace_span span(obs::phase::prefill, h);
-    view_->link_cache().prefill(at, nullptr);
-    evaluate_hour(at, nullptr);
-  }
-  out.resize(slot_end - slot_begin);
-  const obs::trace_span span(obs::phase::stage, h);
-  for (std::size_t v = slot_begin; v < slot_end; ++v) {
-    stage_vm_hour_into(v, at, out[v - slot_begin]);
-  }
+  // A dist worker is typically a fork() of a process whose pool threads
+  // did not survive, so this path must never dispatch to pool_.
+  stage_hour(at, slot_begin, slot_end, out, nullptr);
 }
 
 void campaign_runner::commit_hour_group(hour_stamp at,

@@ -31,6 +31,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -141,18 +142,22 @@ class campaign_runner {
   std::size_t deploy(const campaign_config& config,
                      const std::vector<std::size_t>& server_ids);
 
-  // Run every remaining hour in the window (from cursor(), which resume()
-  // may have advanced), then bill the accumulated bucket volume (once —
-  // a resumed-after-complete run never double-bills). With a
-  // checkpoint_dir configured, checkpoints are published on the cadence
-  // and a final one after billing. Returns false when request_interrupt()
-  // stopped the run early (after checkpointing, if durable); true when
-  // the window completed.
+  // run_until(window.end_at): every remaining hour, then the storage bill
+  // and the final checkpoint. Returns false when interrupted.
   bool run();
 
-  // Run hours [cursor(), stop) with WAL logging and periodic checkpoints
-  // when durable. Returns false when interrupted before reaching `stop`.
-  bool run_until(hour_stamp stop);
+  // The one loop that advances a campaign: runs hours [cursor(), stop)
+  // through `advance_hour` (run_hour when empty), which must commit
+  // exactly its hour (state_error otherwise). When durable it anchors the
+  // WAL with a checkpoint first and checkpoints every
+  // checkpoint_every_hours. Once the cursor is at the window end it bills
+  // monthly storage (once per campaign, even across resume) and, when
+  // durable, publishes a final checkpoint. Throws invalid_argument_error,
+  // committing nothing, when `stop` lies past the window end. Returns
+  // false when request_interrupt() stopped it at an hour boundary (after
+  // checkpointing, if durable).
+  bool run_until(hour_stamp stop,
+                 const std::function<void(hour_stamp)>& advance_hour = {});
 
   // Run one hour of the campaign: fault events, cache prefill and the
   // batched path sweep, then stage every VM (in parallel when the campaign
@@ -228,19 +233,18 @@ class campaign_runner {
 
   // --- distributed replay support (src/dist/) ---
   // Stage one hour of the VM slots [slot_begin, slot_end) into `out`
-  // (resized to the slot count), entirely on the calling thread: serial
-  // cache prefill, evaluate_hour(at, nullptr), serial staging. Never
-  // touches the worker pool, so it is safe in a fork()ed worker process
-  // whose pool threads did not survive the fork. Byte-identical to the
-  // same slots staged by run_hour.
+  // (resized to the slot count) through run_hour's staging step with a
+  // null pool, so it all runs on the calling thread — safe in a fork()ed
+  // worker whose pool threads did not survive the fork. Byte-identical
+  // to the same slots staged by run_hour.
   void stage_shard_hour(hour_stamp at, std::size_t slot_begin,
                         std::size_t slot_end,
                         std::vector<vm_hour_staging>& out);
-  // Commit one complete hour group staged elsewhere (shard workers):
-  // coordinator hour events, then run_hour's own commit step — exactly
-  // the bytes a single-process run_hour produces. `group` must hold
-  // vm_count() records, slot v at index v, all staged for `at` ==
-  // cursor().
+  // Commit one complete hour group staged elsewhere (shard workers, or
+  // the WAL during resume): coordinator hour events, then run_hour's own
+  // commit step — exactly the bytes a single-process run_hour produces.
+  // `group` must hold vm_count() records, slot v at index v, all staged
+  // for `at` == cursor().
   void commit_hour_group(hour_stamp at, std::vector<vm_hour_staging>&& group);
   // WAL/shard record codec, also the dist wire format for one staged
   // (VM, hour): the coordinator decodes exactly what a worker encoded.
@@ -256,19 +260,9 @@ class campaign_runner {
   // world; also what checkpoint resume verifies.
   std::uint64_t fingerprint() const;
 
-  // State peeks for the shard coordinator, which mirrors run_until's
-  // durability cadence (first-hour WAL anchor, final storage bill)
-  // without reaching into private members.
-  bool wal_open() const { return wal_ != nullptr; }
-  bool storage_billed() const { return storage_billed_; }
-  bool interrupt_requested() const {
-    return interrupt_.load(std::memory_order_relaxed);
-  }
-  void clear_interrupt() {
-    interrupt_.store(false, std::memory_order_relaxed);
-  }
-  // Storage billed monthly on the accumulated bucket volume (run() calls
-  // this after the window; hour-stepped drivers call it themselves).
+  // Storage billed monthly on the accumulated bucket volume (run_until
+  // calls this at the window end; hour-stepped drivers call it
+  // themselves).
   void charge_monthly_storage();
 
   // Failure injection: take one VM slot down for [begin, end). While down
@@ -308,8 +302,10 @@ class campaign_runner {
   // snapshot) and older checkpoints are garbage-collected.
   void checkpoint(const std::string& dir);
   // Restore from the latest checkpoint under `dir`, then replay every
-  // complete (all-VM) hour group in the WAL, dropping a torn tail or a
-  // partial hour (those hours re-run deterministically). Requires a
+  // complete (all-VM) hour group in the WAL through commit_hour_group
+  // (with the WAL writer closed, so replay never appends to the log it
+  // reads), dropping a torn tail or a partial hour (those hours re-run
+  // deterministically). Requires a
   // deployed runner whose fingerprint (seed, window, fleet shape, fault
   // config) matches the checkpoint; throws state_error on a mismatch and
   // invalid_argument_error on corruption. Returns false when `dir` holds
@@ -321,7 +317,7 @@ class campaign_runner {
   // returning when durable).
   void request_interrupt() { interrupt_.store(true, std::memory_order_relaxed); }
   // The next hour run()/run_until() will execute (window begin after
-  // deploy; advanced by run_hour and by resume).
+  // deploy; advanced by every hour commit, including resume's replay).
   hour_stamp cursor() const { return cursor_; }
   // True when a checkpoint_dir is configured.
   bool durable() const { return !config_.checkpoint_dir.empty(); }
@@ -393,6 +389,12 @@ class campaign_runner {
     obs::counter* dist_failovers{nullptr};
     obs::histogram* hour_seconds{nullptr};
   };
+  // The hour's staging step, shared by run_hour and stage_shard_hour:
+  // cache prefill and evaluate_hour, then stage slots [slot_begin,
+  // slot_end) into `out` (resized to the slot count), fanned out on
+  // `pool` or serially when it is null.
+  void stage_hour(hour_stamp at, std::size_t slot_begin, std::size_t slot_end,
+                  std::vector<vm_hour_staging>& out, thread_pool* pool);
   // The hour's commit step, shared by run_hour and commit_hour_group:
   // WAL-append and commit_vm_hour every slot of `staged` in ascending
   // order, flush the WAL, advance the cursor and publish hour metrics

@@ -498,6 +498,10 @@ bool campaign_runner::resume(const std::string& dir) {
   // records 0..vm_count-1, all at the cursor hour. Stale records (hour
   // before the cursor: crash between publish and WAL reset) are skipped;
   // a partial group or torn tail is dropped and that hour re-runs.
+  // Replay commits through the shared commit step, which appends to an
+  // open WAL: close it first so replay never writes to the log it reads.
+  // The re-anchoring checkpoint below reopens it.
+  wal_.reset();
   const wal_scan_result scan =
       scan_wal((fs::path(dir) / "wal.log").string());
   if (scan.corrupt) {
@@ -513,7 +517,6 @@ bool campaign_runner::resume(const std::string& dir) {
   std::size_t i = 0;
   std::size_t replayed = 0;
   vm_hour_staging peek;
-  std::vector<vm_hour_staging> group(vms_.size());
   while (i < scan.records.size()) {
     const std::size_t slot = decode_wal_record(scan.records[i], peek);
     if (peek.at < cursor_) {
@@ -524,6 +527,7 @@ bool campaign_runner::resume(const std::string& dir) {
         i + vms_.size() > scan.records.size()) {
       break;
     }
+    std::vector<vm_hour_staging> group(vms_.size());
     bool complete = true;
     for (std::size_t v = 0; v < vms_.size(); ++v) {
       if (decode_wal_record(scan.records[i + v], group[v]) != v ||
@@ -533,12 +537,8 @@ bool campaign_runner::resume(const std::string& dir) {
       }
     }
     if (!complete) break;
-    begin_hour(cursor_);
-    for (std::size_t v = 0; v < vms_.size(); ++v) {
-      commit_vm_hour(v, std::move(group[v]));
-    }
+    commit_hour_group(cursor_, std::move(group));  // advances cursor_
     i += vms_.size();
-    cursor_ = cursor_ + 1;
     ++replayed;
   }
   CLASP_LOG(info, "campaign")

@@ -21,11 +21,13 @@
 //     replacement re-stages that hour bit-exact, so nothing committed is
 //     ever redone and nothing pending is ever lost.
 //
-// The coordinator mirrors run_until's durability cadence (first-hour
-// WAL anchor, checkpoint_every_hours, final storage bill + checkpoint),
-// so `clasp_cli --shards N` runs are resumable exactly like
-// single-process ones. Everything is observable as clasp_dist_* metric
-// families plus a dist segment in the campaign heartbeat line.
+// The coordinator keeps no hour loop of its own: it hands its barrier to
+// campaign_runner::run_until as the hour step, so the WAL anchor, the
+// interrupt checkpoint, checkpoint_every_hours and the final storage
+// bill + checkpoint are the single-process ones, and `clasp_cli
+// --shards N` runs are resumable exactly like single-process ones.
+// Everything is observable as clasp_dist_* metric families plus a dist
+// segment in the campaign heartbeat line.
 #pragma once
 
 #include <sys/types.h>
@@ -91,9 +93,11 @@ class shard_coordinator {
   shard_coordinator(const shard_coordinator&) = delete;
   shard_coordinator& operator=(const shard_coordinator&) = delete;
 
-  // Distributed equivalents of campaign_runner::run / run_until. Return
+  // Distributed equivalents of campaign_runner::run / run_until: the
+  // campaign's run_until with the shard barrier as its hour step. Return
   // false when interrupted (request_interrupt on the campaign), true on
-  // completion. Workers live for the duration of one call.
+  // completion. Workers are forked at the first hour step and reaped
+  // before the call returns or throws.
   bool run();
   bool run_until(hour_stamp stop);
 

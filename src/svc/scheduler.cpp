@@ -33,24 +33,23 @@ campaign_session::quantum_result campaign_session::run_quantum(
   const hour_stamp before = runner_->cursor();
   hour_stamp stop = before + static_cast<std::int64_t>(hours);
   if (stop > window.end_at) stop = window.end_at;
-  const bool final_leg = stop == window.end_at;
   if (active) active->store(runner_, std::memory_order_release);
+  // Reaching the window end bills storage and publishes the closing
+  // checkpoint inside run_until, exactly as one batch run would.
   bool completed;
   const std::size_t shards = platform_->config().campaign_shards;
   if (shards > 1) {
     dist::dist_config dc;
     dc.shards = shards;
     dist::shard_coordinator coord(*runner_, dc);
-    // The final leg goes through run() so monthly storage is billed and
-    // the closing checkpoint published, exactly as one batch run would.
-    completed = final_leg ? coord.run() : coord.run_until(stop);
+    completed = coord.run_until(stop);
   } else {
-    completed = final_leg ? runner_->run() : runner_->run_until(stop);
+    completed = runner_->run_until(stop);
   }
   if (active) active->store(nullptr, std::memory_order_release);
   result.hours = static_cast<std::size_t>(runner_->cursor() - before);
   result.interrupted = !completed;
-  result.finished = completed && final_leg;
+  result.finished = completed && stop == window.end_at;
   if (result.interrupted && runner_->durable()) {
     // run_until checkpointed before returning false.
     last_checkpoint_cursor_ = runner_->cursor().hours_since_epoch();

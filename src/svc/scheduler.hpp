@@ -1,5 +1,5 @@
 // Cooperative time-slicing scheduler: resident campaign sessions run in
-// hour-quanta over the PR 4 run_until/checkpoint machinery.
+// hour-quanta over the campaign's run_until/checkpoint machinery.
 //
 // A campaign_session owns one clasp_platform built from the service's
 // base config resolved against the campaign's spec, with durability
@@ -7,9 +7,10 @@
 // two tenants submitting the same region can never interleave
 // checkpoints (the platform enforces this with a typed state_error).
 // run_quantum advances the campaign up to quantum_hours via run_until
-// (or a shard coordinator when the spec shards), which WAL-logs every
-// hour and checkpoints on the campaign cadence; the final quantum goes
-// through run() so storage is billed exactly once, like batch mode.
+// (with the shard coordinator's barrier as the hour step when the spec
+// shards), which WAL-logs every hour and checkpoints on the campaign
+// cadence; the quantum that reaches the window end bills storage exactly
+// once and publishes the closing checkpoint there, like batch mode.
 // Output is therefore byte-identical to an uninterrupted batch run for
 // any quantum length, worker count or shard count.
 //

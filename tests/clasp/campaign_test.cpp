@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -169,6 +170,104 @@ TEST(CampaignTest, SerialRunRecordsStageAndCommitSpans) {
             kHours);
   EXPECT_EQ(rollups[static_cast<std::size_t>(obs::phase::commit)].count,
             kHours);
+}
+
+// A deployed three-hour campaign on the shared fixture, for the driver
+// contract tests below (each passes its own label).
+void deploy_short(campaign_runner& runner, const std::string& label) {
+  auto& p = small_platform();
+  campaign_config cfg;
+  cfg.region = "us-west2";
+  cfg.label = label;
+  const hour_stamp begin = hour_stamp::from_civil({2020, 6, 1}, 0);
+  cfg.window = {begin, begin + 3};
+  const auto us = p.registry().crawl("US");
+  runner.deploy(cfg, {us[0], us[1]});
+}
+
+TEST(CampaignTest, RunUntilPastTheWindowEndThrowsAndCommitsNothing) {
+  // Hours past the window end are not part of the campaign: running them
+  // would put their points in the store and bill their VM-hours.
+  auto& p = small_platform();
+  campaign_runner runner(&p.cloud(), &p.view(), &p.registry(), &p.store());
+  deploy_short(runner, "past-window-end");
+  const hour_range window = runner.config().window;
+  const hour_stamp stop = window.end_at + 1;
+  try {
+    runner.run_until(stop);
+    FAIL() << "expected invalid_argument_error";
+  } catch (const invalid_argument_error& e) {
+    EXPECT_NE(std::string(e.what()).find(stop.to_string()), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(runner.cursor(), window.begin_at);
+  EXPECT_EQ(runner.tests_run(), 0u);
+  tag_filter filter;
+  filter.required["campaign"] = "past-window-end";
+  for (const ts_series* s : p.store().query("download_mbps", filter)) {
+    EXPECT_EQ(s->size(), 0u);
+  }
+  // The window itself still runs to completion.
+  EXPECT_TRUE(runner.run_until(window.end_at));
+  EXPECT_EQ(runner.cursor(), window.end_at);
+}
+
+TEST(CampaignTest, HourStepThatDoesNotCommitThrowsInsteadOfLooping) {
+  auto& p = small_platform();
+  campaign_runner runner(&p.cloud(), &p.view(), &p.registry(), &p.store());
+  deploy_short(runner, "stalled-step");
+  const hour_range window = runner.config().window;
+  int steps = 0;
+  EXPECT_THROW(runner.run_until(window.end_at, [&](hour_stamp) { ++steps; }),
+               state_error);
+  EXPECT_EQ(steps, 1);
+  EXPECT_EQ(runner.cursor(), window.begin_at);
+  // A step that commits its hour drives the campaign like run_hour.
+  EXPECT_TRUE(runner.run_until(window.end_at, [&](hour_stamp at) {
+    ++steps;
+    runner.run_hour(at);
+  }));
+  EXPECT_EQ(steps, 1 + static_cast<int>(window.count()));
+  EXPECT_EQ(runner.tests_run(), runner.session_count() *
+                                    static_cast<std::size_t>(window.count()));
+}
+
+TEST(CampaignTest, RunUntilWindowEndThenRunBillsStorageOnce) {
+  // Private platforms, so the bills and stores compare exactly.
+  platform_config cfg;
+  cfg.internet = ::clasp::testing::small_internet_config();
+  cfg.servers = ::clasp::testing::small_server_config();
+  cfg.topology_budgets = {{"us-west2", 8}};
+  const hour_stamp begin = hour_stamp::from_civil({2020, 6, 1}, 0);
+  const hour_range window{begin, begin + 4};
+  struct outcome {
+    std::string csv;
+    cost_report costs;
+  };
+  const auto finish = [&](bool until_end_first) {
+    clasp_platform p(cfg);
+    campaign_runner& c = p.start_topology_campaign("us-west2", window);
+    if (until_end_first) {
+      const double before = p.cloud().costs().storage_usd;
+      EXPECT_TRUE(c.run_until(window.end_at));
+      const double billed = p.cloud().costs().storage_usd;
+      EXPECT_GT(billed, before);  // the window end bills storage
+      EXPECT_TRUE(c.run());
+      EXPECT_EQ(p.cloud().costs().storage_usd, billed);  // not twice
+    } else {
+      EXPECT_TRUE(c.run());
+    }
+    std::ostringstream csv;
+    p.store().export_csv(csv, "download_mbps");
+    return outcome{csv.str(), p.cloud().costs()};
+  };
+  const outcome split = finish(true);
+  const outcome whole = finish(false);
+  ASSERT_FALSE(whole.csv.empty());
+  EXPECT_EQ(split.csv, whole.csv);
+  EXPECT_EQ(split.costs.vm_usd, whole.costs.vm_usd);
+  EXPECT_EQ(split.costs.egress_usd, whole.costs.egress_usd);
+  EXPECT_EQ(split.costs.storage_usd, whole.costs.storage_usd);
 }
 
 TEST(CampaignTest, DownloadValuesArePlausible) {

@@ -8,9 +8,11 @@
 // always exactly the in-flight hour (deterministic staging re-stages it
 // bit-exact), so none of this is allowed to show in the output.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -337,8 +339,8 @@ TEST(CampaignDist, FailoverBudgetExhaustionAbortsTyped) {
 TEST(CampaignDist, DurableDistributedRunKilledAndResumedStaysIdentical) {
   // Cross-mode durability: a distributed run killed mid-window resumes
   // in a fresh process — and the resumed half runs distributed too. The
-  // coordinator mirrors run_until's checkpoint cadence, so the WAL and
-  // checkpoints are interchangeable with single-process ones.
+  // coordinator's hours go through the campaign's own run_until, so the
+  // WAL and checkpoints are interchangeable with single-process ones.
   const fs::path root = test_dir();
   std::string ckpt_dir;
   {
@@ -362,6 +364,72 @@ TEST(CampaignDist, DurableDistributedRunKilledAndResumedStaysIdentical) {
   EXPECT_TRUE(coordinator.run());
   expect_identical(reference("low"), snapshot_of(p, c));
   fs::remove_all(root);
+}
+
+TEST(CampaignDist, InterruptCheckpointsAndResumeFinishes) {
+  // request_interrupt during a sharded hour stops the run at the next
+  // hour boundary, checkpointed, with every worker reaped; a fresh
+  // runner resumes from that checkpoint and finishes byte-identically.
+  const fs::path root = test_dir();
+  // Off the 10-hour cadence, so only the interrupt can checkpoint there.
+  const hour_stamp interrupt_at = window().begin_at + 13;
+  std::string ckpt_dir;
+  {
+    clasp_platform p(tiny_config("low", 1, root.string()));
+    campaign_runner& c = p.start_topology_campaign("us-west1", window());
+    std::vector<pid_t> pids;
+    dist_config dc;
+    dc.shards = 2;
+    dc.on_barrier_for_testing = [&](shard_coordinator& coord, hour_stamp at) {
+      if (at != interrupt_at) return;
+      c.request_interrupt();
+      for (std::uint32_t s = 0; s < coord.shards(); ++s) {
+        pids.push_back(coord.worker_pid(s));
+      }
+    };
+    shard_coordinator coordinator(c, dc);
+    EXPECT_FALSE(coordinator.run());
+    EXPECT_EQ(c.cursor(), interrupt_at + 1);
+    EXPECT_EQ(coordinator.report().hours, 14u);
+    ckpt_dir = c.config().checkpoint_dir;
+    const std::optional<std::string> current = current_checkpoint(ckpt_dir);
+    ASSERT_TRUE(current.has_value());
+    EXPECT_EQ(read_checkpoint_info(*current).cursor_hours,
+              (interrupt_at + 1).hours_since_epoch());
+    ASSERT_EQ(pids.size(), 2u);
+    for (std::uint32_t s = 0; s < 2; ++s) {
+      EXPECT_GT(pids[s], 0);
+      EXPECT_EQ(coordinator.worker_pid(s), -1);
+      // Already reaped: the pid is no longer this process's child.
+      EXPECT_EQ(::waitpid(pids[s], nullptr, WNOHANG), -1);
+    }
+  }
+  clasp_platform p(tiny_config("low", 1, root.string()));
+  campaign_runner& c = p.start_topology_campaign("us-west1", window());
+  EXPECT_TRUE(c.resume(ckpt_dir));
+  EXPECT_EQ(c.cursor(), interrupt_at + 1);
+  EXPECT_TRUE(c.run());
+  expect_identical(reference("low"), snapshot_of(p, c));
+  fs::remove_all(root);
+}
+
+TEST(CampaignDist, RunUntilPastTheWindowEndThrowsAndForksNothing) {
+  clasp_platform p(tiny_config("off"));
+  campaign_runner& c = p.start_topology_campaign("us-west1", window());
+  int barriers = 0;
+  dist_config dc;
+  dc.shards = 2;
+  dc.on_barrier_for_testing = [&](shard_coordinator&, hour_stamp) {
+    ++barriers;
+  };
+  shard_coordinator coordinator(c, dc);
+  EXPECT_THROW(coordinator.run_until(window().end_at + 1),
+               invalid_argument_error);
+  EXPECT_EQ(barriers, 0);
+  EXPECT_EQ(coordinator.worker_pid(0), -1);
+  EXPECT_EQ(coordinator.report().hours, 0u);
+  EXPECT_EQ(c.cursor(), window().begin_at);
+  EXPECT_EQ(c.tests_run(), 0u);
 }
 
 TEST(CampaignDist, DistMetricsAppearInPrometheusExposition) {

@@ -40,7 +40,12 @@ struct socket_pair {
 
 TEST(Channel, FdRoundTripsPayloads) {
   socket_pair p;
-  const std::string binary("\x00\x01\xff framed \x7f\x00", 16);
+  // Length from the literal itself (minus its terminator), so both
+  // embedded NULs are kept and nothing is read past the array.
+  static constexpr char kBinary[] = "\x00\x01\xff framed \x7f\x00";
+  const std::string binary(kBinary, sizeof(kBinary) - 1);
+  ASSERT_EQ(binary.size(), 13u);
+  ASSERT_EQ(binary.back(), '\0');
   p.a->send("hello");
   p.a->send("");
   p.a->send(binary);

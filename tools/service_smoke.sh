@@ -83,12 +83,21 @@ echo "== submit 4 campaigns (2 tenants, max_admitted is 3) =="
 "$CLI" submit --config "$CFG" --tenant bob   --region us-west1 --days $DAYS --seed 103 --durable off
 "$CLI" submit --config "$CFG" --tenant bob   --region us-west1 --days $DAYS --seed 104 --durable on
 
-echo "== wait until the scheduler is actually running campaigns =="
-for _ in $(seq 1 100); do
-  status | grep -q " running," && ! status | grep -q "service: .* 0 running," && break
-  sleep 0.1
+# The kill must land while a durable campaign is part-way through its
+# window: one that has run at least one quantum (so it has checkpointed)
+# and is not past half of it. A fixed sleep after the first "running"
+# overshoots on a fast host, where both durable alice campaigns finish
+# before the kill and nothing is left to warm-resume.
+durable_mid_run() {
+  local rows
+  rows="$(status | grep -E '^ *#[0-9]+ .* running ' | grep -v '\[ephemeral\]' || true)"
+  grep -qE '\( *([1-9]|[1-4][0-9])%\)' <<< "$rows"
+}
+echo "== wait until a durable campaign is part-way through its window =="
+for _ in $(seq 1 400); do
+  durable_mid_run && break
+  sleep 0.02
 done
-sleep 0.5
 status
 
 echo "== kill -9 the daemon mid-run =="
