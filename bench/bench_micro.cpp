@@ -308,6 +308,73 @@ BENCHMARK(BM_CampaignHour)->Apply([](benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMillisecond)->UseRealTime();
 });
 
+// The shared-platform pair: the serial hour of us-west2 (the smallest
+// Table-1 fleet) on a platform where the topology campaigns of all six
+// Table-1 regions are deployed, against the same campaign on a platform
+// of its own. An hour should cost the same in both: a campaign prefills
+// only its own links. Each iteration runs the same hour on each, so host
+// drift hits both sides alike.
+struct shared_platform_pair {
+  std::unique_ptr<clasp_platform> alone_platform;
+  std::unique_ptr<clasp_platform> shared_platform;
+  campaign_runner* alone{nullptr};
+  campaign_runner* shared{nullptr};
+  hour_stamp next{topology_campaign_window().begin_at};
+  campaign_bench_total alone_total;
+  campaign_bench_total shared_total;
+};
+
+shared_platform_pair* build_shared_pair() {
+  constexpr const char* kRegion = "us-west2";
+  auto* p = new shared_platform_pair;
+  p->alone_platform = std::make_unique<clasp_platform>();
+  p->alone = &p->alone_platform->start_topology_campaign(kRegion);
+  // us-west2 first, so it selects exactly the fleet it selects alone.
+  p->shared_platform = std::make_unique<clasp_platform>();
+  p->shared = &p->shared_platform->start_topology_campaign(kRegion);
+  for (const char* region :
+       {"us-central1", "us-east1", "us-east4", "us-west1", "us-west4"}) {
+    p->shared_platform->start_topology_campaign(region);
+  }
+  // Untimed warm-up to steady-state buffer capacity, as above.
+  for (int i = 0; i < 64; ++i, ++p->next) {
+    p->alone->run_hour(p->next);
+    p->shared->run_hour(p->next);
+  }
+  return p;
+}
+
+// Built on the row's first run; null when the row was filtered out.
+shared_platform_pair* g_shared_pair = nullptr;
+
+void BM_CampaignHourSharedPlatform(benchmark::State& state) {
+  if (g_shared_pair == nullptr) g_shared_pair = build_shared_pair();
+  shared_platform_pair& pair = *g_shared_pair;
+  const auto timed_hour = [&](campaign_runner& runner,
+                              campaign_bench_total& total) {
+    const auto begin = std::chrono::steady_clock::now();
+    runner.run_hour(pair.next);
+    const auto end = std::chrono::steady_clock::now();
+    total.ns += std::chrono::duration<double, std::nano>(end - begin).count();
+    ++total.hours;
+  };
+  for (auto _ : state) {
+    // Alternate which side runs first: the second one finds the caches
+    // warmer, which would otherwise always favour the same side.
+    const bool alone_first = pair.next.hours_since_epoch() % 2 == 0;
+    if (alone_first) timed_hour(*pair.alone, pair.alone_total);
+    timed_hour(*pair.shared, pair.shared_total);
+    if (!alone_first) timed_hour(*pair.alone, pair.alone_total);
+    ++pair.next;
+  }
+  state.SetLabel(std::to_string(pair.alone->session_count()) +
+                 " sessions, alone vs beside 5 other regions");
+}
+BENCHMARK(BM_CampaignHourSharedPlatform)
+    ->Name("BM_CampaignHour/shared_platform")
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
 // (fleet_scale, batch) -> accumulated path-metrics production time, for
 // BENCH_campaign.json's speedup_at_10x.
 using link_bench_key = std::pair<int, int>;
@@ -422,12 +489,15 @@ BENCHMARK(BM_DailyVariability);
 
 // BENCH_campaign.json: [{workers, fleet_scale, ns_per_hour}, ...], the
 // serial ns/hour at 1x and 10x fleet (ns_per_hour_1x, ns_per_hour_10x:
-// the perf gate's inputs), and speedup_at_10x — BM_LinkHourEval's
-// batched arena sweep vs per-session evaluate(flat_path), for the hour's
-// path-metrics production.
+// the perf gate's inputs), speedup_at_10x — BM_LinkHourEval's batched
+// arena sweep vs per-session evaluate(flat_path), for the hour's
+// path-metrics production — and shared_platform_hour_ratio, the
+// shared-platform pair's shared ns/hour over its alone ns/hour.
 void write_campaign_json(const char* path) {
   const auto& totals = campaign_totals();
-  if (totals.empty()) return;  // BM_CampaignHour filtered out of the run
+  const shared_platform_pair* pair = g_shared_pair;
+  // BM_CampaignHour filtered out of the run.
+  if (totals.empty() && pair == nullptr) return;
   const auto ns_per_hour = [&](const campaign_bench_key& key) {
     const auto it = totals.find(key);
     if (it == totals.end() || it->second.hours == 0) return 0.0;
@@ -491,6 +561,23 @@ void write_campaign_json(const char* path) {
   if (link_legacy_10x > 0.0 && link_batched_10x > 0.0) {
     std::fprintf(f, ",\n  \"speedup_at_10x\": %.3f",
                  link_legacy_10x / link_batched_10x);
+  }
+  if (pair != nullptr && pair->alone_total.hours > 0 &&
+      pair->shared_total.hours > 0) {
+    const double alone = pair->alone_total.ns /
+                         static_cast<double>(pair->alone_total.hours);
+    const double shared = pair->shared_total.ns /
+                          static_cast<double>(pair->shared_total.hours);
+    std::fprintf(f,
+                 ",\n  \"shared_platform_runs\": [\n"
+                 "    {\"regions\": 1, \"ns_per_hour\": %.1f, "
+                 "\"hours\": %lld},\n"
+                 "    {\"regions\": 6, \"ns_per_hour\": %.1f, "
+                 "\"hours\": %lld}\n  ]",
+                 alone, static_cast<long long>(pair->alone_total.hours),
+                 shared, static_cast<long long>(pair->shared_total.hours));
+    std::fprintf(f, ",\n  \"shared_platform_hour_ratio\": %.3f",
+                 shared / alone);
   }
   std::fprintf(f, "\n}\n");
   std::fclose(f);

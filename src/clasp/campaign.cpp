@@ -58,7 +58,7 @@ void campaign_runner::resolve_metrics() {
   metrics_.dist_workers = &reg.get_gauge(fam::kDistWorkers);
   metrics_.dist_failovers = &reg.get_counter(fam::kDistFailovers);
   metrics_.hour_seconds =
-      &reg.get_histogram(fam::kCampaignHourSeconds, obs::duration_buckets());
+      &reg.get_histogram(fam::kCampaignHourSeconds, obs::hour_buckets());
 }
 
 std::size_t campaign_runner::deploy(const campaign_config& config,
@@ -112,19 +112,20 @@ std::size_t campaign_runner::deploy(const campaign_config& config,
     }
   }
 
+  link_cache_ = std::make_unique<condition_cache>(&view_->net());
   for (std::size_t i = 0; i < server_ids.size(); ++i) {
     const speed_server& server = registry_->server(server_ids[i]);
     const std::size_t vm_slot = i % vms_.size();
     sessions_.emplace_back(cloud_, view_, vms_[vm_slot], server,
                            config.test);
-    // Mirror the session's two flattened paths into the shared arena
+    // Mirror the session's two flattened paths into the campaign's arena
     // (download first — evaluate_hour and staging index paths 2i, 2i+1).
     arena_.add(sessions_.back().flat_download_path());
     arena_.add(sessions_.back().flat_upload_path());
-    // Register the union of this campaign's path links so run_hour's
+    // Register this campaign's path links (only these) so evaluate_hour's
     // prefill turns the hot-loop evaluations into table lookups.
-    view_->link_cache().register_path(sessions_.back().download_path());
-    view_->link_cache().register_path(sessions_.back().upload_path());
+    link_cache_->register_path(sessions_.back().download_path());
+    link_cache_->register_path(sessions_.back().upload_path());
 
     // Intern the session's series once; the hourly loop appends through
     // integer refs with no string formatting or map lookups.
@@ -151,6 +152,9 @@ std::size_t campaign_runner::deploy(const campaign_config& config,
       status_refs_.push_back(store_->open_series("test_status", tags));
     }
   }
+  // Every link is registered now and slots never move, so one resolution
+  // serves the whole window.
+  arena_.resolve(*link_cache_);
   // Round-robin assignment in ascending session order makes the CSR
   // build a closed form: vms_[v]'s k-th session is v + k * vm_count.
   const std::size_t vm_count = vms_.size();
@@ -340,14 +344,11 @@ void campaign_runner::stage_hour(hour_stamp at, std::size_t slot_begin,
                                  std::vector<vm_hour_staging>& out,
                                  thread_pool* pool) {
   const std::int64_t h = at.hours_since_epoch();
-  // Prefill the shared hour-epoch cache before any worker starts reading
-  // (the pool's batch join publishes the writes — see condition_cache.hpp),
-  // then sweep every session path's metrics for this hour. Both are
-  // hour-top precomputation no worker overlaps with, so both count as
-  // the prefill phase.
+  // Prefill the campaign's cache and sweep every session path's metrics
+  // for this hour. Both are hour-top precomputation no staging worker
+  // overlaps with, so both count as the prefill phase.
   {
     const obs::trace_span span(obs::phase::prefill, h);
-    view_->link_cache().prefill(at, pool);
     evaluate_hour(at, pool);
   }
   // Stage every slot before committing any: staging reads only immutable
@@ -393,13 +394,10 @@ void campaign_runner::commit_hour(
 
 void campaign_runner::evaluate_hour(hour_stamp at, thread_pool* pool) {
   if (!deployed_) throw state_error("campaign_runner: not deployed");
-  if (!arena_resolved_) {
-    // Condition-cache slots are stable once assigned (registration only
-    // appends), so one resolution after deploy's register_path calls
-    // serves the whole window.
-    arena_.resolve(view_->link_cache());
-    arena_resolved_ = true;
-  }
+  // Prefill before any worker starts reading (the pool's batch join
+  // publishes the writes — see condition_cache.hpp). A repeated call for
+  // the same hour reuses the table.
+  if (link_cache_->table_for(at) == nullptr) link_cache_->prefill(at, pool);
   const std::size_t paths = arena_.size();
   hour_metrics_.resize(paths);
   // Fixed-size blocks: large enough to amortize pool dispatch, small

@@ -40,6 +40,7 @@
 
 #include "cloud/gcp.hpp"
 #include "cloud/someta.hpp"
+#include "netsim/condition_cache.hpp"
 #include "netsim/faults.hpp"
 #include "netsim/network.hpp"
 #include "obs/metrics.hpp"
@@ -159,10 +160,11 @@ class campaign_runner {
   bool run_until(hour_stamp stop,
                  const std::function<void(hour_stamp)>& advance_hour = {});
 
-  // Run one hour of the campaign: fault events, cache prefill and the
-  // batched path sweep, then stage every VM (in parallel when the campaign
-  // was configured with workers != 1), then commit in slot order. A slot
-  // that throws while staging leaves the hour uncommitted.
+  // Run one hour of the campaign: fault events, the batched path sweep
+  // (evaluate_hour, which prefills the campaign's own cache), then stage
+  // every VM (in parallel when the campaign was configured with
+  // workers != 1), then commit in slot order. A slot that throws while
+  // staging leaves the hour uncommitted.
   void run_hour(hour_stamp at);
 
   // Coordinator-only fault-plan hour events, called by run_hour and
@@ -173,13 +175,16 @@ class campaign_runner {
   void begin_hour(hour_stamp at);
 
   // Batched evaluation of the hour's path conditions (coordinator-only,
-  // after the cache prefill and before any staging worker starts): one
-  // linear sweep over the session-path arena computes every session's
-  // download/upload path_metrics for `at`, fanned out in fixed-size
-  // blocks across `pool` (serial when null — block boundaries cannot
-  // change values, the outputs are per-path). stage_vm_hour_into reads
-  // the precomputed metrics, so it requires `at` to be the last
-  // evaluated hour.
+  // before any staging worker starts). First it prefills the campaign's
+  // own hour-epoch condition cache — which holds only this campaign's
+  // session-path links, registered at deploy — for `at`, unless it already
+  // holds `at`. Then one linear sweep over the session-path arena computes
+  // every session's download/upload path_metrics for `at`. Both fan out
+  // across `pool` (serial when null — block boundaries cannot change
+  // values, the outputs are per-path). stage_vm_hour_into reads the
+  // precomputed metrics, so it requires `at` to be the last evaluated
+  // hour. begin_hour -> evaluate_hour -> stage_vm_hour_into ->
+  // commit_vm_hour is the whole hour; nothing else needs preparing.
   void evaluate_hour(hour_stamp at, thread_pool* pool = nullptr);
 
   // Registry to retire churned servers from (so withdrawn servers vanish
@@ -390,9 +395,9 @@ class campaign_runner {
     obs::histogram* hour_seconds{nullptr};
   };
   // The hour's staging step, shared by run_hour and stage_shard_hour:
-  // cache prefill and evaluate_hour, then stage slots [slot_begin,
-  // slot_end) into `out` (resized to the slot count), fanned out on
-  // `pool` or serially when it is null.
+  // evaluate_hour, then stage slots [slot_begin, slot_end) into `out`
+  // (resized to the slot count), fanned out on `pool` or serially when
+  // it is null.
   void stage_hour(hour_stamp at, std::size_t slot_begin, std::size_t slot_end,
                   std::vector<vm_hour_staging>& out, thread_pool* pool);
   // The hour's commit step, shared by run_hour and commit_hour_group:
@@ -428,11 +433,15 @@ class campaign_runner {
   // fleet touches two contiguous allocations instead of one per VM.
   std::vector<std::uint32_t> vm_session_offsets_;  // size vms_.size() + 1
   std::vector<std::uint32_t> vm_session_index_;    // size sessions_.size()
+  // The campaign's own hour-epoch condition cache over its sessions'
+  // path links (and no other campaign's), built at deploy and prefilled
+  // by evaluate_hour. Campaigns sharing a platform therefore never pay
+  // for each other's links.
+  std::unique_ptr<condition_cache> link_cache_;
   // SoA twin of the sessions' flattened paths: path 2*i is sessions_[i]'s
-  // download path, 2*i + 1 its upload path. Built at deploy, resolved
-  // against the view's condition cache on first use (see evaluate_hour).
+  // download path, 2*i + 1 its upload path. Built and resolved against
+  // link_cache_ at deploy.
   path_arena arena_;
-  bool arena_resolved_{false};
   // Per-path metrics of the last evaluate_hour() sweep, indexed like the
   // arena. Valid only for hour_metrics_hour_ (staging checks before use;
   // the initial value matches no hour).

@@ -10,11 +10,16 @@
 // a dense 2 x links table of link_condition keyed by (link slot, dir) and
 // stamped with the hour it was filled for.
 //
+// Each campaign_runner owns one, over its own sessions' links only, so
+// campaigns sharing a platform never prefill each other's links; each
+// network_view owns another for its direct clients (link_state, evaluate,
+// the prober), which register and prefill it themselves.
+//
 // Usage contract (what keeps replay deterministic AND data-race free):
 //  * register_link / register_path run at deployment time, before any
 //    worker exists. Registration is idempotent.
 //  * prefill(at) recomputes every registered entry for one hour. It is
-//    called by the replay coordinator at the top of each simulated hour,
+//    called by the owner's coordinator at the top of each simulated hour,
 //    while no worker is evaluating (optionally fanning the recompute out
 //    across an idle thread_pool — slots are disjoint, so scheduling cannot
 //    change any value).

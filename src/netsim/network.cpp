@@ -128,6 +128,7 @@ std::size_t path_arena::add(const flat_path& path) {
 }
 
 void path_arena::resolve(const condition_cache& cache) {
+  cache_ = &cache;
   for (std::size_t i = 0; i < hops_.size(); ++i) {
     const std::uint32_t slot = cache.slot(hops_[i].link);
     cond_[i] = slot == condition_cache::kNoSlot
@@ -141,7 +142,8 @@ void network_view::evaluate_batch(const path_arena& arena, hour_stamp at,
                                   std::size_t begin_path,
                                   std::size_t end_path,
                                   path_metrics* out) const {
-  const link_condition* table = cache_->table_for(at);
+  const link_condition* table =
+      arena.cache_ != nullptr ? arena.cache_->table_for(at) : nullptr;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   for (std::size_t p = begin_path; p < end_path; ++p) {

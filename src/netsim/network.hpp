@@ -7,11 +7,12 @@
 // bottleneck available bandwidth.
 //
 // Two complementary fast paths serve the campaign replay hot loop:
-//  * an hour-epoch condition_cache owned by the view: once the replay
-//    coordinator prefills it for an hour, every link_state / evaluate
-//    call backed by a registered link becomes a table lookup instead of
-//    recomputing the load model's transcendental math (the prober and
-//    every other view client reuse the same cached hour for free);
+//  * hour-epoch condition_caches: once a coordinator prefills one for an
+//    hour, every evaluation backed by a registered link becomes a table
+//    lookup instead of recomputing the load model's transcendental math.
+//    The view owns one cache, read by link_state / evaluate; each
+//    campaign owns another over only its own links, read through the
+//    path_arena resolved against it (evaluate_batch);
 //  * flat_path: a route_path flattened at session-construction time into
 //    a contiguous hop array with the static per-hop terms (propagation
 //    RTT, capacity, profile, kind) and the propagation-only RTT
@@ -67,10 +68,12 @@ struct flat_path {
 // instead of chasing one std::vector per session.
 //
 // Lifetime rules: add() every path at deployment time, then resolve()
-// once against the view's condition_cache (slots are stable once
-// assigned, so resolution survives later prefills; links registered with
-// the cache *after* resolve() simply stay on the compute fallback). The
-// arena is immutable afterwards and safe to share across reader threads.
+// once against a condition_cache, which the arena remembers and which
+// must outlive it: evaluate_batch reads that cache's table, not the
+// view's. Slots are stable once assigned, so resolution survives later
+// prefills; links registered with the cache *after* resolve() simply
+// stay on the compute fallback. The arena is immutable afterwards and
+// safe to share across reader threads.
 class path_arena {
  public:
   // "Hop has no resolved condition-table entry" sentinel; such hops fall
@@ -80,8 +83,9 @@ class path_arena {
   // Append a path; returns its index. Paths are evaluated in add() order.
   std::size_t add(const flat_path& path);
 
-  // Map each hop to its condition-table entry 2*slot + dir_bit (or
-  // kUnresolved). Coordinator-only; idempotent.
+  // Map each hop to its condition-table entry 2*slot + dir_bit in
+  // `cache` (or kUnresolved), and read that cache's table from then on.
+  // Coordinator-only; idempotent.
   void resolve(const condition_cache& cache);
 
   std::size_t size() const { return offsets_.size() - 1; }
@@ -91,6 +95,7 @@ class path_arena {
   friend class network_view;
   std::vector<flat_hop> hops_;          // all paths' hops, concatenated
   std::vector<std::uint32_t> cond_;     // per hop: table index or kUnresolved
+  const condition_cache* cache_{nullptr};  // resolve()'s cache; null before
   std::vector<std::uint32_t> offsets_{0};  // path i = [offsets_[i], offsets_[i+1])
   std::vector<millis> base_rtt_;           // per path
   std::vector<millis> router_cost_rtt_;    // per path
@@ -115,11 +120,12 @@ class network_view {
   // Batched evaluation: compute metrics for arena paths
   // [begin_path, end_path) at hour `at`, writing out[p] for each absolute
   // path index p. Each hop whose condition-table entry resolved reads the
-  // prefilled table directly (one validity check per call, hoisted out of
-  // the hop loop); unresolved hops and non-prefilled hours fall back to
-  // the load model. Bit-identical to evaluate(flat_path) per path — same
-  // floating-point operations in the same order. Disjoint [begin, end)
-  // ranges may run on different threads between prefills.
+  // table of the cache the arena was resolved against, when that cache is
+  // prefilled for `at` (one validity check per call, hoisted out of the
+  // hop loop); unresolved hops, unresolved arenas and non-prefilled hours
+  // fall back to the load model. Bit-identical to evaluate(flat_path) per
+  // path — same floating-point operations in the same order. Disjoint
+  // [begin, end) ranges may run on different threads between prefills.
   void evaluate_batch(const path_arena& arena, hour_stamp at,
                       std::size_t begin_path, std::size_t end_path,
                       path_metrics* out) const;
@@ -136,10 +142,11 @@ class network_view {
   // True when a planted episode is active on any hop (ground truth).
   bool episode_on_path(const route_path& path, hour_stamp at) const;
 
-  // The hour-epoch condition cache shared by every client of this view.
-  // Campaign runners register their sessions' links at deploy() time and
-  // prefill at the top of each replayed hour; see condition_cache.hpp for
-  // the coordinator-only write contract.
+  // The view's own hour-epoch condition cache, read by link_state and
+  // evaluate. View clients (probers, tests, benches) register and prefill
+  // it themselves; campaign runners do not — each keeps its own cache
+  // over only its sessions' links (see campaign_runner::evaluate_hour).
+  // See condition_cache.hpp for the coordinator-only write contract.
   condition_cache& link_cache() const { return *cache_; }
 
   const internet& net() const { return *net_; }

@@ -180,6 +180,12 @@ std::span<const double> duration_buckets() {
   return kBounds;
 }
 
+std::span<const double> hour_buckets() {
+  static const double kBounds[] = {1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4,
+                                   1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2};
+  return kBounds;
+}
+
 void register_core_families() {
   metrics_registry& reg = metrics_registry::instance();
   for (const char* name :
@@ -224,9 +230,10 @@ void register_core_families() {
         family::kSvcReservedUnits, family::kSvcWorkerBudget}) {
     reg.get_gauge(name);
   }
+  reg.get_histogram(family::kCampaignHourSeconds, hour_buckets());
   for (const char* name :
-       {family::kCampaignHourSeconds, family::kTsdbSnapshotSeconds,
-        family::kCheckpointPublishSeconds, family::kDistBarrierSeconds}) {
+       {family::kTsdbSnapshotSeconds, family::kCheckpointPublishSeconds,
+        family::kDistBarrierSeconds}) {
     reg.get_histogram(name, duration_buckets());
   }
 }

@@ -183,4 +183,10 @@ void register_core_families();
 // Shared duration bucket bounds (seconds) for the built-in histograms.
 std::span<const double> duration_buckets();
 
+// Bucket bounds (seconds) for clasp_campaign_hour_seconds: 10 us to 50 ms
+// in 1-2-5 steps, the range a replayed hour spans (tens of microseconds
+// serial at 1x fleet, milliseconds at 10x), so the hour percentiles do
+// not all collapse into duration_buckets()' first bucket.
+std::span<const double> hour_buckets();
+
 }  // namespace clasp::obs

@@ -1,6 +1,7 @@
 #include "tsdb/tsdb.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <iterator>
@@ -123,18 +124,34 @@ std::vector<std::string> tsdb::tag_values(const std::string& metric,
 
 namespace {
 
-// RFC-4180 quoting for fields containing separators or quotes.
-void write_csv_field(std::ostream& os, const std::string& field) {
+// RFC-4180 quoting for fields containing separators or quotes, appended
+// to `out`.
+void append_csv_field(std::string& out, const std::string& field) {
   if (field.find_first_of(",\"\n") == std::string::npos) {
-    os << field;
+    out += field;
     return;
   }
-  os << '"';
+  out += '"';
   for (const char c : field) {
-    if (c == '"') os << '"';
-    os << c;
+    if (c == '"') out += '"';
+    out += c;
   }
-  os << '"';
+  out += '"';
+}
+
+// The bytes a default-formatted ostream writes for `v` (%g, precision 6:
+// "inf", "-nan", "-0", "1e-07", ...), without the stream machinery.
+void append_value(std::string& out, double v) {
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), v, std::chars_format::general, 6);
+  out.append(buf, r.ptr);
+}
+
+void append_value(std::string& out, std::int64_t v) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, r.ptr);
 }
 
 }  // namespace
@@ -147,21 +164,32 @@ void tsdb::export_csv(std::ostream& os, const std::string& metric,
   for (const ts_series* s : matched) {
     for (const auto& [k, v] : s->tags()) keys.insert(k);
   }
-  os << "hour,value";
+  std::string out = "hour,value";
   for (const std::string& k : keys) {
-    os << ',';
-    write_csv_field(os, k);
+    out += ',';
+    append_csv_field(out, k);
   }
-  os << '\n';
+  out += '\n';
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
+  // A series' tag columns are the same on every row: quote them once into
+  // a suffix, then write the series' rows as one buffer.
+  std::string suffix;
   for (const ts_series* s : matched) {
-    for (const ts_point& p : s->points()) {
-      os << p.at.hours_since_epoch() << ',' << p.value;
-      for (const std::string& k : keys) {
-        os << ',';
-        write_csv_field(os, s->tag(k).value_or(""));
-      }
-      os << '\n';
+    suffix.clear();
+    for (const std::string& k : keys) {
+      suffix += ',';
+      const auto it = s->tags().find(k);
+      if (it != s->tags().end()) append_csv_field(suffix, it->second);
     }
+    suffix += '\n';
+    out.clear();
+    for (const ts_point& p : s->points()) {
+      append_value(out, p.at.hours_since_epoch());
+      out += ',';
+      append_value(out, p.value);
+      out += suffix;
+    }
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
   }
 }
 

@@ -129,7 +129,9 @@ class tsdb {
 
   // Grafana-style CSV export: one row per point, tag columns in sorted
   // key order ("hour,value,<tag keys...>"). Rows come from every series
-  // of the metric matching the filter.
+  // of the metric matching the filter. Values are written as a
+  // default-formatted ostream writes them (%g, 6 significant digits),
+  // whatever the flags of `os`.
   void export_csv(std::ostream& os, const std::string& metric,
                   const tag_filter& filter = {}) const;
 

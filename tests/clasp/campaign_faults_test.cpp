@@ -261,7 +261,6 @@ TEST(CampaignFaultsTest, ThrowingHourCommitsNothing) {
     campaign_runner::vm_hour_staging scratch;
     for (hour_stamp at = four_days().begin_at; at < four_days().end_at;
          ++at) {
-      p.view().link_cache().prefill(at);
       c.evaluate_hour(at);
       std::size_t first_starving = c.vm_count();
       for (std::size_t v = 0; v < c.vm_count(); ++v) {

@@ -262,7 +262,6 @@ TEST(CampaignParallelTest, SteadyStateStagingIsAllocationFree) {
 
   const hour_stamp at = begin + 6;
   c.begin_hour(at);
-  p.view().link_cache().prefill(at);
   c.evaluate_hour(at);
   // One staging pass warms this thread's scratch and the reused slot.
   campaign_runner::vm_hour_staging staged;

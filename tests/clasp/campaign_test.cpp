@@ -5,6 +5,7 @@
 #include <sstream>
 #include <string>
 
+#include "obs/families.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "test_support.hpp"
@@ -136,7 +137,6 @@ TEST(CampaignTest, StagingAnUnevaluatedHourThrows) {
     EXPECT_NE(std::string(e.what()).find(at.to_string()), std::string::npos)
         << e.what();
   }
-  p.view().link_cache().prefill(at);
   runner.evaluate_hour(at);
   runner.stage_vm_hour_into(0, at, staged);
   EXPECT_EQ(staged.tests_run, 2u);
@@ -268,6 +268,84 @@ TEST(CampaignTest, RunUntilWindowEndThenRunBillsStorageOnce) {
   EXPECT_EQ(split.costs.vm_usd, whole.costs.vm_usd);
   EXPECT_EQ(split.costs.egress_usd, whole.costs.egress_usd);
   EXPECT_EQ(split.costs.storage_usd, whole.costs.storage_usd);
+}
+
+// A private platform for the shared-platform tests: two regions whose
+// fleets, and so whose link sets, differ in size.
+platform_config two_region_config() {
+  platform_config cfg;
+  cfg.internet = ::clasp::testing::small_internet_config();
+  cfg.servers = ::clasp::testing::small_server_config();
+  cfg.topology_budgets = {{"us-west2", 6}, {"us-east1", 24}};
+  return cfg;
+}
+
+TEST(CampaignTest, SharedPlatformInterleavedHoursMatchSequential) {
+  // Campaigns on one platform each prefill their own condition cache, so
+  // the order their hours run in cannot change what either measures.
+  const hour_stamp begin = hour_stamp::from_civil({2020, 6, 1}, 0);
+  const hour_range window{begin, begin + 6};
+  const auto replay = [&](bool interleave) {
+    clasp_platform p(two_region_config());
+    campaign_runner& west = p.start_topology_campaign("us-west2", window);
+    campaign_runner& east = p.start_topology_campaign("us-east1", window);
+    if (interleave) {
+      for (hour_stamp at = window.begin_at; at < window.end_at; ++at) {
+        west.run_hour(at);
+        east.run_hour(at);
+      }
+    } else {
+      for (hour_stamp at = window.begin_at; at < window.end_at; ++at) {
+        west.run_hour(at);
+      }
+      for (hour_stamp at = window.begin_at; at < window.end_at; ++at) {
+        east.run_hour(at);
+      }
+    }
+    EXPECT_EQ(west.tests_run(), west.session_count() * 6);
+    EXPECT_EQ(east.tests_run(), east.session_count() * 6);
+    std::ostringstream csv;
+    for (const char* metric :
+         {"download_mbps", "upload_mbps", "latency_ms", "download_loss",
+          "upload_loss", "gt_episode"}) {
+      p.store().export_csv(csv, metric);
+    }
+    return csv.str();
+  };
+  const std::string interleaved = replay(true);
+  ASSERT_NE(interleaved.find("us-west2"), std::string::npos);
+  ASSERT_NE(interleaved.find("us-east1"), std::string::npos);
+  EXPECT_EQ(interleaved, replay(false));
+}
+
+TEST(CampaignTest, HourPrefillsOnlyItsOwnCampaignsLinks) {
+  // One hour of a campaign prefills that campaign's links and no other's:
+  // the smaller region adds the same count to the prefill-links counter
+  // on a platform shared with a larger region as on one of its own.
+  const hour_stamp begin = hour_stamp::from_civil({2020, 6, 1}, 0);
+  const hour_range window{begin, begin + 2};
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::metrics_registry& reg = obs::metrics_registry::instance();
+  const obs::counter& links = reg.get_counter(obs::family::kCachePrefillLinks);
+  const obs::counter& prefills = reg.get_counter(obs::family::kCachePrefills);
+  const auto west_hour_links = [&](bool shared) {
+    clasp_platform p(two_region_config());
+    campaign_runner& west = p.start_topology_campaign("us-west2", window);
+    if (shared) {
+      p.start_topology_campaign("us-east1", window).run_hour(begin);
+    }
+    const std::uint64_t links_before = links.value();
+    const std::uint64_t prefills_before = prefills.value();
+    west.run_hour(begin);
+    EXPECT_EQ(prefills.value() - prefills_before, 1u);
+    return links.value() - links_before;
+  };
+  const std::uint64_t alone = west_hour_links(false);
+  const std::uint64_t shared = west_hour_links(true);
+  obs::set_enabled(was_enabled);
+  EXPECT_GT(alone, 0u);
+  EXPECT_EQ(shared, alone);
 }
 
 TEST(CampaignTest, DownloadValuesArePlausible) {

@@ -1,8 +1,9 @@
 // Bit-identity of the batched arena evaluator against the per-path
 // evaluate(flat_path) walk it replaces (see network.hpp, path_arena).
 // The batch sweep must produce byte-identical metrics with the cache
-// off, on, stale (wrong hour), during planted congestion episodes, for
-// paths of withdrawn servers and for synthetic >255-hop paths.
+// off, on, stale (wrong hour) or private to the arena, during planted
+// congestion episodes, for paths of withdrawn servers and for synthetic
+// >255-hop paths.
 #include "netsim/network.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <vector>
 
 #include "netsim/routing.hpp"
+#include "obs/families.hpp"
+#include "obs/metrics.hpp"
 #include "speedtest/registry.hpp"
 #include "test_support.hpp"
 
@@ -215,6 +218,68 @@ TEST_F(NetworkBatchTest, PathsBeyond255HopsMatch) {
   view_.evaluate_batch(arena, at, 0, arena.size(), out.data());
   expect_same_metrics(out[0], view_.evaluate(longest, at));
   expect_same_metrics(out[1], view_.evaluate(flats_.front(), at));
+}
+
+// Condition-cache lookups tallied on this thread so far: the published
+// counters plus this thread's unpublished residual (see cache_tally).
+struct lookup_totals {
+  std::uint64_t hits;
+  std::uint64_t misses;
+};
+lookup_totals lookups() {
+  obs::metrics_registry& reg = obs::metrics_registry::instance();
+  return {reg.get_counter(obs::family::kCacheHits).value() +
+              detail::t_cache_tally.hits,
+          reg.get_counter(obs::family::kCacheMisses).value() +
+              detail::t_cache_tally.misses};
+}
+
+TEST_F(NetworkBatchTest, PrivateCacheServesItsArenaWhateverTheViewHolds) {
+  // An arena resolved against a cache of its own (as each campaign's is)
+  // reads that cache's table: every hop hits when it is prefilled for the
+  // hour, and every hop misses when it is not — whatever the view's own
+  // cache holds. Either way the metrics equal the per-path walk.
+  const hour_stamp at = hour_stamp::from_civil({2020, 6, 9}, 14);
+  condition_cache own(&net_);
+  for (const route_path& p : routes_) own.register_path(p);
+  arena_.resolve(own);
+  const std::uint64_t hops = 2 * arena_.hop_count();  // data + ack per hop
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto sweep = [&](std::uint64_t want_hits, std::uint64_t want_misses) {
+    std::vector<path_metrics> out(arena_.size());
+    const lookup_totals before = lookups();
+    view_.evaluate_batch(arena_, at, 0, arena_.size(), out.data());
+    const lookup_totals after = lookups();
+    EXPECT_EQ(after.hits - before.hits, want_hits);
+    EXPECT_EQ(after.misses - before.misses, want_misses);
+    for (std::size_t p = 0; p < flats_.size(); ++p) {
+      SCOPED_TRACE("path " + std::to_string(p));
+      expect_same_metrics(out[p], view_.evaluate(flats_[p], at));
+    }
+  };
+  own.prefill(at);
+  {
+    SCOPED_TRACE("view cache empty");
+    sweep(hops, 0);
+  }
+  for (const route_path& p : routes_) view_.link_cache().register_path(p);
+  view_.link_cache().prefill(at + 1);
+  {
+    SCOPED_TRACE("view cache prefilled for another hour");
+    sweep(hops, 0);
+  }
+  view_.link_cache().prefill(at);
+  {
+    SCOPED_TRACE("view cache prefilled for the same hour");
+    sweep(hops, 0);
+  }
+  own.prefill(at + 2);
+  {
+    SCOPED_TRACE("own cache stale, view cache prefilled");
+    sweep(0, hops);
+  }
+  obs::set_enabled(was_enabled);
 }
 
 TEST_F(NetworkBatchTest, PartialRangesCoverExactlyTheirPaths) {

@@ -131,6 +131,30 @@ TEST_F(ObsMetricsTest, RegisterCoreFamiliesCoversTaxonomy) {
   EXPECT_TRUE(histograms.contains(obs::family::kCampaignHourSeconds));
 }
 
+TEST_F(ObsMetricsTest, HourHistogramResolvesMicrosecondHours) {
+  // A serial 1x hour takes tens of microseconds: the hour histogram must
+  // tell a 50 us hour from a 1 ms one (duration_buckets() puts both in
+  // its first, 0.5 ms, bucket — the others keep those bounds).
+  obs::register_core_families();
+  obs::histogram& h = obs::metrics_registry::instance().get_histogram(
+      obs::family::kCampaignHourSeconds, obs::duration_buckets());
+  const obs::histogram::snapshot before = h.read();
+  h.observe(50e-6);
+  h.observe(1e-3);
+  const obs::histogram::snapshot after = h.read();
+  ASSERT_EQ(after.bounds.size(), obs::hour_buckets().size());
+  EXPECT_DOUBLE_EQ(after.bounds.front(), 1e-5);
+  EXPECT_DOUBLE_EQ(after.bounds.back(), 5e-2);
+  std::vector<std::size_t> landed;
+  for (std::size_t b = 0; b < after.counts.size(); ++b) {
+    if (after.counts[b] != before.counts[b]) landed.push_back(b);
+  }
+  ASSERT_EQ(landed.size(), 2u);
+  EXPECT_DOUBLE_EQ(after.bounds[landed[0]], 5e-5);
+  EXPECT_DOUBLE_EQ(after.bounds[landed[1]], 1e-3);
+  EXPECT_EQ(obs::duration_buckets().front(), 0.0005);
+}
+
 TEST_F(ObsMetricsTest, PrometheusExpositionGolden) {
   obs::metrics_registry reg;
   obs::trace_ring ring;

@@ -104,7 +104,11 @@ TEST(TsdbTest, LargeAppendAndScan) {
 }  // namespace
 }  // namespace clasp
 // Appended: CSV export tests (kept in this file to share the fixtures).
+#include <iomanip>
+#include <limits>
+#include <set>
 #include <sstream>
+#include <vector>
 
 namespace clasp {
 namespace {
@@ -195,6 +199,84 @@ TEST(TsdbCsvTest, EmptyMetricJustHeader) {
   std::ostringstream os;
   db.export_csv(os, "missing");
   EXPECT_EQ(os.str(), "hour,value\n");
+}
+
+TEST(TsdbTest, CsvExportMatchesOstreamFormatting) {
+  // export_csv formats through to_chars and writes one buffer per
+  // series; its bytes must equal the ostream field-by-field writer it
+  // replaced, which the CSV identity tests across the suite were
+  // recorded with. The reference below is that writer.
+  const std::vector<double> values = {
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      -0.0, 0.0, 1e-7, 123456789.0, 1234567.0, 0.1 + 0.2, -42.125,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(), 1e300, 999999.5, 3.0};
+  tsdb db;
+  const std::vector<tag_set> tag_sets = {
+      {{"city", "Las Vegas, NV"}, {"server", "1"}},
+      {{"city", "the \"best\" server"}, {"server", "2"}},
+      {{"city", "two\nlines"}, {"network", "7"}},
+      {{"region", "us-west1"}},
+  };
+  for (const tag_set& tags : tag_sets) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      db.write("m", tags, h(static_cast<int>(i) - 3), values[i]);
+    }
+  }
+
+  const auto quote = [](std::ostream& os, const std::string& field) {
+    if (field.find_first_of(",\"\n") == std::string::npos) {
+      os << field;
+      return;
+    }
+    os << '"';
+    for (const char c : field) {
+      if (c == '"') os << '"';
+      os << c;
+    }
+    os << '"';
+  };
+  std::ostringstream want;
+  const auto matched = db.query("m", {});
+  std::set<std::string> keys;
+  for (const ts_series* s : matched) {
+    for (const auto& [k, v] : s->tags()) keys.insert(k);
+  }
+  want << "hour,value";
+  for (const std::string& k : keys) {
+    want << ',';
+    quote(want, k);
+  }
+  want << '\n';
+  for (const ts_series* s : matched) {
+    for (const ts_point& p : s->points()) {
+      want << p.at.hours_since_epoch() << ',' << p.value;
+      for (const std::string& k : keys) {
+        want << ',';
+        quote(want, s->tag(k).value_or(""));
+      }
+      want << '\n';
+    }
+  }
+
+  std::ostringstream got;
+  db.export_csv(got, "m");
+  EXPECT_EQ(got.str(), want.str());
+  // Spot-check the special values' spelling, so a change to both writers
+  // cannot pass unnoticed.
+  for (const char* field : {",inf,", ",-inf,", ",nan,", ",-nan,", ",-0,",
+                            ",1e-07,", ",1.23457e+08,", ",\"Las Vegas, NV\"",
+                            ",\"the \"\"best\"\" server\""}) {
+    EXPECT_NE(got.str().find(field), std::string::npos) << field;
+  }
+  // The stream's own flags do not leak into the values.
+  std::ostringstream fixed;
+  fixed << std::fixed << std::setprecision(2);
+  db.export_csv(fixed, "m");
+  EXPECT_EQ(fixed.str(), want.str());
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """CI gate for BENCH_campaign.json.
 
-Asserts the campaign bench emitted the serial 1x and 10x fleet runs and
-the speedup_at_10x field, and applies the perf-regression gates: fail when
-the serial ns/hour at 1x or at 10x fleet regresses more than 10% over the
-committed baseline (bench/campaign_baseline.json), or when the batched
-link-hour evaluation is less than 5x faster than per-session evaluation
-at 10x fleet.
+Asserts the campaign bench emitted the serial 1x and 10x fleet runs, the
+speedup_at_10x field and the shared-platform pair, and applies the perf
+gates: fail when the serial ns/hour at 1x or at 10x fleet regresses more
+than 10% over the committed baseline (bench/campaign_baseline.json), when
+the batched link-hour evaluation is less than 5x faster than per-session
+evaluation at 10x fleet, or when a campaign's hour on a platform shared
+with the other five Table-1 regions costs more than 1.25x the same hour on
+a platform of its own (shared_platform_hour_ratio). The last is a ratio of
+two runs on one host, so it needs no baseline.
 
 Usage: check_bench_campaign.py BENCH_campaign.json campaign_baseline.json
 """
@@ -15,6 +18,7 @@ import json
 import sys
 
 SPEEDUP_FLOOR = 5.0
+SHARED_PLATFORM_RATIO_LIMIT = 1.25
 REGRESSION_HEADROOM = 1.10
 
 
@@ -71,14 +75,28 @@ def main():
             "link-hour evaluation vs per-session evaluate at 10x fleet)"
         )
 
-    # 3. Perf gates: the serial hour at 1x and 10x fleet must not regress
+    # 3. A campaign pays only for its own links: its hour beside the other
+    #    five Table-1 regions costs about what it costs alone.
+    ratio = bench.get("shared_platform_hour_ratio")
+    if ratio is None:
+        fail("missing 'shared_platform_hour_ratio'")
+    if ratio > SHARED_PLATFORM_RATIO_LIMIT:
+        fail(
+            f"shared_platform_hour_ratio = {ratio:.2f} > "
+            f"{SHARED_PLATFORM_RATIO_LIMIT} (us-west2's serial hour on a "
+            "platform holding all six Table-1 campaigns vs on its own; a "
+            "campaign's hour is paying for other campaigns' links)"
+        )
+
+    # 4. Perf gates: the serial hour at 1x and 10x fleet must not regress
     #    > 10% vs the committed baseline.
     one_x = check_regression(bench, baseline, "ns_per_hour_1x")
     ten_x = check_regression(bench, baseline, "ns_per_hour_10x")
 
     print(
         f"bench gate: OK: speedup_at_10x={speedup:.2f} (floor {SPEEDUP_FLOOR}), "
-        f"{one_x}, {ten_x}"
+        f"shared_platform_hour_ratio={ratio:.2f} "
+        f"(limit {SHARED_PLATFORM_RATIO_LIMIT}), {one_x}, {ten_x}"
     )
 
 
