@@ -16,8 +16,17 @@
 //      quantum; the gate (check_bench_service.py) requires concurrent
 //      throughput >= 0.9x sequential, and the harvested CSVs must be
 //      byte-identical to the batch twins (hard contract, not a budget).
+//   3. Sharded slicing — one durable 2-shard campaign time-sliced by the
+//      service in 6-hour quanta, against the same campaign run once
+//      through shard_coordinator::run(). The two sides alternate inside
+//      this binary and the ratio (batch wall / sliced wall) is the median
+//      over passes, so a slow host slows both sides. A service that
+//      forked its shard workers per quantum read far below the gate's
+//      floor; workers that live for the session's residency bring it
+//      close to 1. The harvested CSV must equal the batch one.
 //
 // `--fast` shrinks the substrate and window for the CI smoke job.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -28,6 +37,7 @@
 #include <vector>
 
 #include "bench_support.hpp"
+#include "dist/coordinator.hpp"
 #include "svc/service.hpp"
 #include "util/strings.hpp"
 
@@ -243,6 +253,67 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
+  // ---- leg 3: sharded campaign, time-sliced vs one batch run ---------
+  print_header("Campaign service — sharded campaign time-sliced",
+               "6-hour quanta must cost little over one sharded batch run");
+  const int slice_days = fast ? 7 : 14;
+  constexpr int kSlicePasses = 5;
+  svc::campaign_spec sharded = spec_of(5151, slice_days, true);
+  sharded.shards = 2;
+  std::vector<double> slice_ratios;
+  double slice_batch_s = 0.0, slice_service_s = 0.0;
+  bool slice_identical = true;
+  for (int pass = 0; pass < kSlicePasses; ++pass) {
+    const fs::path dir = fresh_dir("sharded");
+    const platform_config cfg = bench_config(fast, dir);
+    const auto run_batch = [&] {
+      platform_config batch_cfg = svc::resolve_platform_config(sharded, cfg);
+      batch_cfg.campaign_checkpoint_dir = (dir / "batch-ckpt").string();
+      const auto t0 = std::chrono::steady_clock::now();
+      clasp_platform platform(batch_cfg);
+      campaign_runner& campaign = platform.start_topology_campaign(
+          "us-west1", svc::spec_window(sharded));
+      dist::dist_config dc;
+      dc.shards = 2;
+      dist::shard_coordinator(campaign, dc).run();
+      const std::string csv = download_csv(platform);
+      std::ofstream(dir / "batch.csv", std::ios::binary) << csv;
+      return std::make_pair(seconds_since(t0), csv);
+    };
+    const auto run_sliced = [&] {
+      const auto t0 = std::chrono::steady_clock::now();
+      svc::campaign_service service(cfg);
+      const std::uint64_t id = service.submit("tenant0", sharded);
+      service.run_to_idle();
+      const double seconds = seconds_since(t0);
+      return std::make_pair(seconds, read_file(service.results_path(id)));
+    };
+    // Alternate which side runs first, so neither always gets the
+    // warmer caches.
+    std::pair<double, std::string> batch, sliced;
+    if (pass % 2 == 0) {
+      batch = run_batch();
+      sliced = run_sliced();
+    } else {
+      sliced = run_sliced();
+      batch = run_batch();
+    }
+    if (sliced.second != batch.second || batch.second.empty()) {
+      slice_identical = false;
+    }
+    slice_ratios.push_back(batch.first / sliced.first);
+    slice_batch_s += batch.first / kSlicePasses;
+    slice_service_s += sliced.first / kSlicePasses;
+    fs::remove_all(dir);
+  }
+  std::sort(slice_ratios.begin(), slice_ratios.end());
+  const double slice_ratio = slice_ratios[slice_ratios.size() / 2];
+  std::printf(
+      "%d hours in 6-hour quanta: sliced %.4fs | batch %.4fs (means) | "
+      "median ratio %.3f | identical %s\n",
+      slice_days * 24, slice_service_s, slice_batch_s, slice_ratio,
+      slice_identical ? "yes" : "NO");
+
   std::ofstream out("BENCH_service.json");
   out << "{\n  \"bench\": \"service\",\n"
       << "  \"fast\": " << (fast ? "true" : "false") << ",\n"
@@ -267,7 +338,14 @@ int main(int argc, char** argv) {
         << (r.output_identical ? "true" : "false") << "}"
         << (i + 1 < runs.size() ? "," : "") << "\n";
   }
-  out << "  ]\n}\n";
+  out << "  ],\n"
+      << "  \"sharded\": {\"shards\": 2, \"window_hours\": "
+      << slice_days * 24 << ", \"passes\": " << kSlicePasses
+      << ", \"sliced_seconds\": " << format_double(slice_service_s, 4)
+      << ", \"batch_seconds\": " << format_double(slice_batch_s, 4)
+      << ", \"sharded_slice_ratio\": " << format_double(slice_ratio, 4)
+      << ", \"output_identical\": "
+      << (slice_identical ? "true" : "false") << "}\n}\n";
   std::printf("wrote BENCH_service.json\n");
   return 0;
 }

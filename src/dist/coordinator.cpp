@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "dist/protocol.hpp"
@@ -22,6 +21,10 @@ namespace {
 // shard's channel. Small enough that one slow worker cannot starve
 // another's deadline bookkeeping.
 constexpr int kRecvSliceMs = 10;
+
+// How long stop_all waits, over all shards together, for workers to exit
+// after the stop frame before it SIGKILLs the rest.
+constexpr int kStopTimeoutMs = 1000;
 
 struct dist_metrics {
   obs::gauge* workers;
@@ -96,15 +99,14 @@ void shard_coordinator::arm_deadline(worker_slot& w) {
                std::chrono::milliseconds(config_.heartbeat_timeout_ms);
 }
 
-void shard_coordinator::spawn_shard(std::uint32_t shard, hour_stamp start,
-                                    hour_stamp stop) {
+void shard_coordinator::spawn_shard(std::uint32_t shard, hour_stamp start) {
   worker_slot& w = workers_[shard];
   shard_assignment a;
   a.shard = shard;
   a.slot_begin = w.slot_begin;
   a.slot_end = w.slot_end;
   a.start = start;
-  a.stop = stop;
+  a.stop = campaign_.config().window.end_at;
   // Chaos is a property of the original cast: a failover replacement
   // always behaves, so every injected fault is recovered from exactly
   // once and the sweep stays deterministic.
@@ -126,8 +128,7 @@ void shard_coordinator::spawn_shard(std::uint32_t shard, hour_stamp start,
   arm_deadline(w);
 }
 
-void shard_coordinator::failover(std::uint32_t shard, hour_stamp at,
-                                 hour_stamp stop) {
+void shard_coordinator::failover(std::uint32_t shard, hour_stamp at) {
   worker_slot& w = workers_[shard];
   report_.failovers += 1;
   metrics().failovers->add(1);
@@ -152,18 +153,17 @@ void shard_coordinator::failover(std::uint32_t shard, hour_stamp at,
   // it is already committed, and deterministic staging reproduces the
   // barrier hour bit-exact. Recovery cost is always exactly one hour of
   // one shard's staging.
-  spawn_shard(shard, at, stop);
+  spawn_shard(shard, at);
   report_.respawns += 1;
   metrics().respawns->add(1);
 }
 
-void shard_coordinator::reject_group(std::uint32_t shard, hour_stamp at,
-                                     hour_stamp stop) {
+void shard_coordinator::reject_group(std::uint32_t shard, hour_stamp at) {
   worker_slot& w = workers_[shard];
   report_.crc_rejects += 1;
   metrics().crc_rejects->add(1);
   if (w.resends >= config_.max_group_retries) {
-    failover(shard, at, stop);
+    failover(shard, at);
     return;
   }
   w.resends += 1;
@@ -176,13 +176,13 @@ void shard_coordinator::reject_group(std::uint32_t shard, hour_stamp at,
   try {
     w.channel->send(encode_message(m));
   } catch (const error&) {
-    failover(shard, at, stop);
+    failover(shard, at);
     return;
   }
   arm_deadline(w);
 }
 
-void shard_coordinator::collect_hour(hour_stamp at, hour_stamp stop) {
+void shard_coordinator::collect_hour(hour_stamp at) {
   const std::int64_t h = at.hours_since_epoch();
   for (worker_slot& w : workers_) {
     w.have_group = false;
@@ -206,7 +206,7 @@ void shard_coordinator::collect_hour(hour_stamp at, hour_stamp stop) {
         } catch (const error&) {
           // Frame CRC passed but the content is damaged (per-record CRC
           // or structure): same remedy as a damaged frame.
-          reject_group(s, at, stop);
+          reject_group(s, at);
           continue;
         }
         // Any decodable message is proof of life.
@@ -241,11 +241,11 @@ void shard_coordinator::collect_hour(hour_stamp at, hour_stamp stop) {
               try {
                 w.channel->send(encode_message(ack));
               } catch (const error&) {
-                failover(s, at, stop);
+                failover(s, at);
               }
             } else {
               // Wrong record count or a future hour: protocol breach.
-              reject_group(s, at, stop);
+              reject_group(s, at);
             }
             break;
           case msg_type::bye:
@@ -253,9 +253,9 @@ void shard_coordinator::collect_hour(hour_stamp at, hour_stamp stop) {
             break;
         }
       } else if (rs == recv_status::corrupt) {
-        reject_group(s, at, stop);
+        reject_group(s, at);
       } else if (rs == recv_status::closed) {
-        failover(s, at, stop);
+        failover(s, at);
       } else {
         // Slice elapsed with nothing from this shard. Deadline expiry
         // earns a strike and a backoff-extended deadline; the strike
@@ -264,7 +264,7 @@ void shard_coordinator::collect_hour(hour_stamp at, hour_stamp stop) {
           report_.timeouts += 1;
           metrics().timeouts->add(1);
           if (w.strikes >= config_.max_deadline_retries) {
-            failover(s, at, stop);
+            failover(s, at);
           } else {
             w.strikes += 1;
             w.deadline = std::chrono::steady_clock::now() +
@@ -314,31 +314,34 @@ void shard_coordinator::stop_all() {
   dist_message stop_msg;
   stop_msg.type = msg_type::stop;
   for (worker_slot& w : workers_) {
-    if (w.channel != nullptr) {
-      try {
-        w.channel->send(encode_message(stop_msg));
-      } catch (const error&) {
-      }
-      // Closing unblocks a worker waiting in recv even if the stop
-      // frame never made it.
-      w.channel.reset();
+    if (w.pid <= 0) continue;
+    try {
+      w.channel->send(encode_message(stop_msg));
+    } catch (const error&) {
+      // Already gone (a finished worker says bye and exits on its own).
     }
   }
+  // The parent closed each child's socket end right after fork, so EOF
+  // on a channel means that worker has exited: wait for it, draining
+  // whatever the worker still had in flight, then reap without polling.
+  // A worker that stays silent past the shared bound is killed.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(kStopTimeoutMs);
+  std::string payload;
   for (worker_slot& w : workers_) {
     if (w.pid <= 0) continue;
+    recv_status rs;
+    do {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      rs = w.channel->recv(
+          payload, static_cast<int>(std::max<std::int64_t>(0, left.count())));
+    } while ((rs == recv_status::ok || rs == recv_status::corrupt) &&
+             std::chrono::steady_clock::now() < deadline);
+    w.channel.reset();
+    if (rs != recv_status::closed) ::kill(w.pid, SIGKILL);
     int status = 0;
-    bool reaped = false;
-    for (int i = 0; i < 200 && !reaped; ++i) {
-      if (::waitpid(w.pid, &status, WNOHANG) == w.pid) {
-        reaped = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    if (!reaped) {
-      ::kill(w.pid, SIGKILL);
-      ::waitpid(w.pid, &status, 0);
-    }
+    ::waitpid(w.pid, &status, 0);
     w.pid = -1;
   }
   metrics().workers->set(0.0);
@@ -347,23 +350,20 @@ void shard_coordinator::stop_all() {
 bool shard_coordinator::run_until(hour_stamp stop) {
   // The campaign's own run_until drives the hours (WAL anchor, interrupt,
   // checkpoint cadence, window-end bill); the coordinator supplies the
-  // hour step. Shards fork on the first step, so a call with no hour left
-  // forks nothing.
-  bool spawned = false;
+  // hour step. Shards fork on the first step that finds none running, so
+  // a call with no hour left forks nothing, and a call that follows a
+  // completed one finds its workers parked at this call's first hour.
   const auto barrier = [&](hour_stamp at) {
-    if (!spawned) {
-      for (std::uint32_t s = 0; s < config_.shards; ++s) {
-        spawn_shard(s, at, stop);
-      }
+    if (workers_.front().pid <= 0) {
+      for (std::uint32_t s = 0; s < config_.shards; ++s) spawn_shard(s, at);
       metrics().workers->set(static_cast<double>(config_.shards));
-      spawned = true;
     }
     if (config_.on_barrier_for_testing) {
       config_.on_barrier_for_testing(*this, at);
     }
     metrics().barrier_hour->set(static_cast<double>(at.hours_since_epoch()));
     const auto barrier_begin = std::chrono::steady_clock::now();
-    collect_hour(at, stop);
+    collect_hour(at);
     metrics().barrier_seconds->observe(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       barrier_begin)
@@ -377,7 +377,11 @@ bool shard_coordinator::run_until(hour_stamp stop) {
     stop_all();
     throw;
   }
-  stop_all();
+  // Hours left in the window: the workers stay parked at the barrier of
+  // `stop` for the next call. An interrupt or the window end ends them.
+  if (!completed || campaign_.cursor() == campaign_.config().window.end_at) {
+    stop_all();
+  }
   return completed;
 }
 

@@ -28,6 +28,18 @@
 // --shards N` runs are resumable exactly like single-process ones.
 // Everything is observable as clasp_dist_* metric families plus a dist
 // segment in the campaign heartbeat line.
+//
+// Worker lifetime: workers fork at the first hour step and serve the
+// rest of the window, not just the call that forked them. When a
+// run_until call returns with hours left, each worker has already staged
+// the call's stop hour and waits at that barrier; the next call collects
+// it there. So a time-sliced campaign (the service runs one quantum per
+// call) forks once per residency instead of once per quantum. Workers
+// are stopped and reaped when the window completes, when a call is
+// interrupted or throws, and when the coordinator is destroyed. Between
+// calls only this coordinator should advance the campaign: a parked
+// worker that finds the cursor moved is acked forward hour by hour or
+// failed over, which stays correct but costs time.
 #pragma once
 
 #include <sys/types.h>
@@ -96,16 +108,19 @@ class shard_coordinator {
   // Distributed equivalents of campaign_runner::run / run_until: the
   // campaign's run_until with the shard barrier as its hour step. Return
   // false when interrupted (request_interrupt on the campaign), true on
-  // completion. Workers are forked at the first hour step and reaped
-  // before the call returns or throws.
+  // completion. Workers fork at the first hour step that finds none
+  // running; they are reaped before a call returns false, throws or
+  // completes the window, and otherwise stay parked at the barrier of
+  // `stop` for the next call.
   bool run();
   bool run_until(hour_stamp stop);
 
   const dist_report& report() const { return report_; }
   std::size_t shards() const { return config_.shards; }
 
-  // Test/demo hooks: the worker process behind a shard, and a real
-  // SIGKILL to it (the next barrier detects the death and fails over).
+  // Test/demo hooks: the worker process behind a shard (-1 when none
+  // runs), and a real SIGKILL to it (the next barrier detects the death
+  // and fails over).
   pid_t worker_pid(std::uint32_t shard) const;
   void kill_worker(std::uint32_t shard);
 
@@ -124,11 +139,14 @@ class shard_coordinator {
     std::vector<std::string> records;
   };
 
-  void spawn_shard(std::uint32_t shard, hour_stamp start, hour_stamp stop);
-  void failover(std::uint32_t shard, hour_stamp at, hour_stamp stop);
-  void collect_hour(hour_stamp at, hour_stamp stop);
+  // Fork shard's worker to serve [start, window end).
+  void spawn_shard(std::uint32_t shard, hour_stamp start);
+  void failover(std::uint32_t shard, hour_stamp at);
+  void collect_hour(hour_stamp at);
   void arm_deadline(worker_slot& w);
-  void reject_group(std::uint32_t shard, hour_stamp at, hour_stamp stop);
+  void reject_group(std::uint32_t shard, hour_stamp at);
+  // Send stop, wait for each worker's EOF (SIGKILL past a shared 1 s
+  // bound), then reap. No-op when no worker runs.
   void stop_all();
 
   campaign_runner& campaign_;

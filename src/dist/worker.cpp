@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -133,6 +134,14 @@ spawned_worker spawn_worker(campaign_runner& campaign,
     // running destructors or atexit handlers would flush parent-owned
     // stream buffers into parent-owned files.
     ::close(sv[0]);
+    // Keep only stdio and this worker's channel. Anything else inherited
+    // (the coordinator ends of other live channels, the campaign WAL,
+    // checkpoint files) would stay open for the worker's whole life, and
+    // a copy of another channel's coordinator end would keep that
+    // channel's worker from seeing EOF when its coordinator dies.
+    const unsigned keep = static_cast<unsigned>(sv[1]);
+    if (keep > 3) ::close_range(3, keep - 1, 0);
+    ::close_range(std::max(keep + 1, 3U), ~0U, 0);
     int code = 1;
     try {
       fd_channel ch(sv[1]);

@@ -63,8 +63,9 @@ struct spawned_worker {
 };
 
 // fork() a worker serving `assignment` over a fresh socketpair. The
-// child runs worker_serve and _exits; the parent gets the pid and its
-// channel end. Throws state_error when the socketpair or fork fails.
+// child closes every descriptor but stdio and its channel end, runs
+// worker_serve and _exits; the parent gets the pid and its channel end.
+// Throws state_error when the socketpair or fork fails.
 spawned_worker spawn_worker(campaign_runner& campaign,
                             const shard_assignment& assignment,
                             const worker_chaos& chaos = {});

@@ -24,7 +24,15 @@ campaign_session::campaign_session(const campaign_record& rec,
       last_checkpoint_cursor_ = runner_->cursor().hours_since_epoch();
     }
   }
+  const std::size_t shards = platform_->config().campaign_shards;
+  if (shards > 1) {
+    dist::dist_config dc;
+    dc.shards = shards;
+    coord_ = std::make_unique<dist::shard_coordinator>(*runner_, dc);
+  }
 }
+
+campaign_session::~campaign_session() = default;
 
 campaign_session::quantum_result campaign_session::run_quantum(
     unsigned hours, std::atomic<campaign_runner*>* active) {
@@ -36,16 +44,8 @@ campaign_session::quantum_result campaign_session::run_quantum(
   if (active) active->store(runner_, std::memory_order_release);
   // Reaching the window end bills storage and publishes the closing
   // checkpoint inside run_until, exactly as one batch run would.
-  bool completed;
-  const std::size_t shards = platform_->config().campaign_shards;
-  if (shards > 1) {
-    dist::dist_config dc;
-    dc.shards = shards;
-    dist::shard_coordinator coord(*runner_, dc);
-    completed = coord.run_until(stop);
-  } else {
-    completed = runner_->run_until(stop);
-  }
+  const bool completed =
+      coord_ ? coord_->run_until(stop) : runner_->run_until(stop);
   if (active) active->store(nullptr, std::memory_order_release);
   result.hours = static_cast<std::size_t>(runner_->cursor() - before);
   result.interrupted = !completed;

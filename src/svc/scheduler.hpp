@@ -7,12 +7,22 @@
 // two tenants submitting the same region can never interleave
 // checkpoints (the platform enforces this with a typed state_error).
 // run_quantum advances the campaign up to quantum_hours via run_until
-// (with the shard coordinator's barrier as the hour step when the spec
-// shards), which WAL-logs every hour and checkpoints on the campaign
-// cadence; the quantum that reaches the window end bills storage exactly
-// once and publishes the closing checkpoint there, like batch mode.
-// Output is therefore byte-identical to an uninterrupted batch run for
-// any quantum length, worker count or shard count.
+// (through the session's shard coordinator when the spec shards), which
+// WAL-logs every hour and checkpoints on the campaign cadence; the
+// quantum that reaches the window end bills storage exactly once and
+// publishes the closing checkpoint there, like batch mode. Output is
+// therefore byte-identical to an uninterrupted batch run for any quantum
+// length, worker count or shard count.
+//
+// A sharded session forks its workers at its first quantum and keeps
+// them for its residency: between quanta they wait at the next hour's
+// barrier. They are stopped and reaped when the window completes, when a
+// quantum is interrupted (drain) or fails, and whenever the session is
+// destroyed: pause, cancel, eviction, completion, or the service's own
+// end. A paused non-durable session stays pinned (below), and so do its
+// parked workers. The cost is memory: a parked worker keeps the
+// fork-time copy of every page the coordinator has written since, for
+// the whole residency instead of for one quantum.
 //
 // The scheduler keeps at most max_resident sessions in memory, evicting
 // the least-recently-run *durable* session (checkpoint + destroy; a
@@ -31,6 +41,10 @@
 
 #include "svc/registry.hpp"
 
+namespace clasp::dist {
+class shard_coordinator;
+}  // namespace clasp::dist
+
 namespace clasp::svc {
 
 struct scheduler_settings {
@@ -47,6 +61,7 @@ class campaign_session {
   // exists (resumed() tells which).
   campaign_session(const campaign_record& rec,
                    const scheduler_settings& settings);
+  ~campaign_session();
 
   struct quantum_result {
     std::size_t hours{0};     // hours actually advanced
@@ -68,6 +83,8 @@ class campaign_session {
   bool durable() const { return runner_->durable(); }
   campaign_runner& runner() { return *runner_; }
   clasp_platform& platform() { return *platform_; }
+  // The session's shard coordinator; null unless the spec shards.
+  const dist::shard_coordinator* coordinator() const { return coord_.get(); }
 
   // The campaign's download series as CSV — the same filter and bytes
   // `clasp_cli run --csv` writes for this spec.
@@ -76,6 +93,9 @@ class campaign_session {
  private:
   std::unique_ptr<clasp_platform> platform_;
   campaign_runner* runner_{nullptr};
+  // Declared after platform_: destroyed first, so its workers are
+  // stopped before the runner they serve goes away.
+  std::unique_ptr<dist::shard_coordinator> coord_;
   std::string region_;
   bool resumed_{false};
   std::int64_t last_checkpoint_cursor_{-1};

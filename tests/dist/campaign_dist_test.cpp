@@ -413,6 +413,97 @@ TEST(CampaignDist, InterruptCheckpointsAndResumeFinishes) {
   fs::remove_all(root);
 }
 
+std::vector<pid_t> worker_pids(const shard_coordinator& coordinator) {
+  std::vector<pid_t> pids;
+  for (std::uint32_t s = 0; s < coordinator.shards(); ++s) {
+    pids.push_back(coordinator.worker_pid(s));
+  }
+  return pids;
+}
+
+// Reaped: the pid is no longer a child of this process.
+void expect_reaped(const std::vector<pid_t>& pids) {
+  for (const pid_t pid : pids) {
+    EXPECT_GT(pid, 0);
+    EXPECT_EQ(::waitpid(pid, nullptr, WNOHANG), -1) << "pid " << pid;
+  }
+}
+
+TEST(CampaignDist, WorkersStayParkedBetweenRunUntilCalls) {
+  // One fork per residency: a second run_until finds the first call's
+  // workers waiting at its first barrier, and nothing is respawned.
+  clasp_platform p(tiny_config("low"));
+  campaign_runner& c = p.start_topology_campaign("us-west1", window());
+  dist_config dc;
+  dc.shards = 2;
+  shard_coordinator coordinator(c, dc);
+  EXPECT_TRUE(coordinator.run_until(window().begin_at + 5));
+  const std::vector<pid_t> pids = worker_pids(coordinator);
+  for (const pid_t pid : pids) EXPECT_GT(pid, 0);
+  EXPECT_TRUE(coordinator.run_until(window().begin_at + 10));
+  EXPECT_EQ(worker_pids(coordinator), pids);
+  EXPECT_EQ(coordinator.report().respawns, 0u);
+  EXPECT_TRUE(coordinator.run());
+  EXPECT_EQ(coordinator.report().respawns, 0u);
+  EXPECT_EQ(coordinator.report().hours, 28u);
+  expect_identical(reference("low"), snapshot_of(p, c));
+  // The window completed: every worker is stopped and reaped.
+  for (std::uint32_t s = 0; s < coordinator.shards(); ++s) {
+    EXPECT_EQ(coordinator.worker_pid(s), -1);
+  }
+  expect_reaped(pids);
+}
+
+TEST(CampaignDist, DestroyingACoordinatorReapsItsParkedWorkers) {
+  clasp_platform p(tiny_config("off"));
+  campaign_runner& c = p.start_topology_campaign("us-west1", window());
+  std::vector<pid_t> pids;
+  {
+    dist_config dc;
+    dc.shards = 2;
+    shard_coordinator coordinator(c, dc);
+    EXPECT_TRUE(coordinator.run_until(window().begin_at + 5));
+    pids = worker_pids(coordinator);
+    // Parked, not reaped: still this process's children.
+    for (const pid_t pid : pids) {
+      EXPECT_GT(pid, 0);
+      EXPECT_EQ(::waitpid(pid, nullptr, WNOHANG), 0) << "pid " << pid;
+    }
+  }
+  expect_reaped(pids);
+}
+
+TEST(CampaignDist, ParkedWorkersHoldOnlyStdioAndTheirChannel) {
+  // A durable run keeps the WAL and checkpoint files open in the
+  // coordinator, and the second worker forks while the first one's
+  // channel is open. Neither may leak into a worker.
+  const fs::path root = test_dir();
+  clasp_platform p(tiny_config("low", 1, root.string()));
+  campaign_runner& c = p.start_topology_campaign("us-west1", window());
+  dist_config dc;
+  dc.shards = 2;
+  shard_coordinator coordinator(c, dc);
+  EXPECT_TRUE(coordinator.run_until(window().begin_at + 5));
+  for (const pid_t pid : worker_pids(coordinator)) {
+    ASSERT_GT(pid, 0);
+    std::vector<int> above_stdio;
+    const fs::path fd_dir = fs::path("/proc") / std::to_string(pid) / "fd";
+    for (const auto& entry : fs::directory_iterator(fd_dir)) {
+      const int fd = std::stoi(entry.path().filename().string());
+      if (fd < 3) continue;
+      above_stdio.push_back(fd);
+      EXPECT_EQ(fs::read_symlink(entry.path()).string().rfind("socket:", 0),
+                0u)
+          << "worker " << pid << " fd " << fd << " -> "
+          << fs::read_symlink(entry.path());
+    }
+    EXPECT_EQ(above_stdio.size(), 1u) << "worker " << pid;
+  }
+  EXPECT_TRUE(coordinator.run());
+  expect_identical(reference("low"), snapshot_of(p, c));
+  fs::remove_all(root);
+}
+
 TEST(CampaignDist, RunUntilPastTheWindowEndThrowsAndForksNothing) {
   clasp_platform p(tiny_config("off"));
   campaign_runner& c = p.start_topology_campaign("us-west1", window());

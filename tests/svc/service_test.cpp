@@ -4,12 +4,14 @@
 // that every service campaign's output is byte-identical to a batch-
 // mode run of the same spec.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "clasp/platform.hpp"
+#include "dist/coordinator.hpp"
 #include "svc/service.hpp"
 #include "svc_test_support.hpp"
 #include "util/error.hpp"
@@ -221,6 +223,142 @@ TEST(SvcService, NonDurableSessionsArePinnedNotEvicted) {
   EXPECT_EQ(s.evictions, 0u);
   EXPECT_EQ(read_file(service.results_path(a)), batch_baseline_csv(spec_of(42, 1, false)));
   EXPECT_EQ(read_file(service.results_path(b)), batch_baseline_csv(spec_of(43, 1, false)));
+  fs::remove_all(dir);
+}
+
+campaign_spec sharded_spec(std::uint64_t seed) {
+  campaign_spec spec = spec_of(seed);
+  spec.shards = 2;
+  return spec;
+}
+
+// The worker pids behind a resident sharded session; empty when the
+// session is not resident.
+std::vector<pid_t> worker_pids(campaign_service& service, std::uint64_t id) {
+  std::vector<pid_t> pids;
+  const campaign_session* session = service.scheduler().find(id);
+  if (session == nullptr) return pids;
+  const dist::shard_coordinator* coordinator = session->coordinator();
+  EXPECT_NE(coordinator, nullptr);
+  if (coordinator == nullptr) return pids;
+  for (std::uint32_t s = 0; s < coordinator->shards(); ++s) {
+    pids.push_back(coordinator->worker_pid(s));
+  }
+  return pids;
+}
+
+// Live workers parked between quanta: still this process's children.
+void expect_parked(const std::vector<pid_t>& pids) {
+  ASSERT_EQ(pids.size(), 2u);
+  for (const pid_t pid : pids) {
+    EXPECT_GT(pid, 0);
+    EXPECT_EQ(::waitpid(pid, nullptr, WNOHANG), 0) << "pid " << pid;
+  }
+}
+
+void expect_reaped(const std::vector<pid_t>& pids) {
+  for (const pid_t pid : pids) {
+    EXPECT_EQ(::waitpid(pid, nullptr, WNOHANG), -1) << "pid " << pid;
+  }
+}
+
+TEST(SvcShardedSession, KeepsItsWorkersAcrossQuanta) {
+  const fs::path dir = svc_test_dir("clasp_svc_sharded_keep");
+  campaign_service service(tiny_service_config(dir));
+  const std::uint64_t id = service.submit("alice", sharded_spec(42));
+  EXPECT_TRUE(service.tick());
+  const std::vector<pid_t> pids = worker_pids(service, id);
+  expect_parked(pids);
+  EXPECT_TRUE(service.tick());
+  EXPECT_TRUE(service.tick());
+  EXPECT_EQ(worker_pids(service, id), pids);
+  EXPECT_EQ(service.scheduler().find(id)->coordinator()->report().respawns,
+            0u);
+  service.run_to_idle();
+  EXPECT_EQ(service.status_of(id).state, "done");
+  expect_reaped(pids);
+  EXPECT_EQ(read_file(service.results_path(id)),
+            batch_baseline_csv(sharded_spec(42)));
+  fs::remove_all(dir);
+}
+
+TEST(SvcShardedSession, PauseReapsWorkersAndWarmResumeMatchesBatch) {
+  const fs::path dir = svc_test_dir("clasp_svc_sharded_pause");
+  campaign_service service(tiny_service_config(dir));
+  const std::uint64_t id = service.submit("alice", sharded_spec(42));
+  EXPECT_TRUE(service.tick());
+  const std::vector<pid_t> pids = worker_pids(service, id);
+  expect_parked(pids);
+  service.pause_campaign(id);
+  EXPECT_EQ(service.scheduler().find(id), nullptr);
+  expect_reaped(pids);
+  service.resume_campaign(id);
+  service.run_to_idle();
+  EXPECT_EQ(service.status_of(id).state, "done");
+  EXPECT_GE(service.status_summary().warm_resumes, 1u);
+  EXPECT_EQ(read_file(service.results_path(id)),
+            batch_baseline_csv(sharded_spec(42)));
+  fs::remove_all(dir);
+}
+
+TEST(SvcShardedSession, CancelReapsWorkers) {
+  const fs::path dir = svc_test_dir("clasp_svc_sharded_cancel");
+  campaign_service service(tiny_service_config(dir));
+  const std::uint64_t id = service.submit("alice", sharded_spec(42));
+  EXPECT_TRUE(service.tick());
+  const std::vector<pid_t> pids = worker_pids(service, id);
+  expect_parked(pids);
+  service.cancel_campaign(id);
+  expect_reaped(pids);
+  fs::remove_all(dir);
+}
+
+TEST(SvcShardedSession, EvictionReapsWorkersAndWarmResumeMatchesBatch) {
+  const fs::path dir = svc_test_dir("clasp_svc_sharded_evict");
+  platform_config cfg = tiny_service_config(dir);
+  cfg.service.max_resident = 1;  // the other campaign's quantum evicts
+  campaign_service service(cfg);
+  const std::uint64_t a = service.submit("alice", sharded_spec(42));
+  const std::uint64_t b = service.submit("bob", spec_of(43));
+  EXPECT_TRUE(service.tick());  // a runs and parks its workers
+  const std::vector<pid_t> pids = worker_pids(service, a);
+  expect_parked(pids);
+  EXPECT_TRUE(service.tick());  // b's acquire evicts a
+  EXPECT_EQ(service.scheduler().find(a), nullptr);
+  EXPECT_GE(service.status_summary().evictions, 1u);
+  expect_reaped(pids);
+  service.run_to_idle();
+  EXPECT_EQ(service.status_of(a).state, "done");
+  EXPECT_GE(service.status_summary().warm_resumes, 1u);
+  EXPECT_EQ(read_file(service.results_path(a)),
+            batch_baseline_csv(sharded_spec(42)));
+  EXPECT_EQ(read_file(service.results_path(b)),
+            batch_baseline_csv(spec_of(43)));
+  fs::remove_all(dir);
+}
+
+TEST(SvcShardedSession, DrainInterruptReapsWorkers) {
+  // A drain interrupts the quantum in flight; the interrupted sharded
+  // quantum must not leave its workers parked. The session stays
+  // resident and its next quantum forks afresh.
+  const fs::path dir = svc_test_dir("clasp_svc_sharded_drain");
+  campaign_service service(tiny_service_config(dir));
+  const std::uint64_t id = service.submit("alice", sharded_spec(42));
+  EXPECT_TRUE(service.tick());
+  const std::vector<pid_t> pids = worker_pids(service, id);
+  expect_parked(pids);
+  const std::int64_t cursor = service.status_of(id).cursor_hours;
+  // What request_drain does to the runner of the quantum in flight.
+  service.scheduler().find(id)->runner().request_interrupt();
+  EXPECT_TRUE(service.tick());
+  EXPECT_EQ(service.status_of(id).cursor_hours, cursor);
+  EXPECT_EQ(service.status_of(id).state, "running");
+  expect_reaped(pids);
+  for (const pid_t pid : worker_pids(service, id)) EXPECT_EQ(pid, -1);
+  service.run_to_idle();
+  EXPECT_EQ(service.status_of(id).state, "done");
+  EXPECT_EQ(read_file(service.results_path(id)),
+            batch_baseline_csv(sharded_spec(42)));
   fs::remove_all(dir);
 }
 

@@ -14,6 +14,14 @@ two budgets held:
      session switching all inside 10%), and every harvested CSV must be
      byte-identical to its batch twin — identity is a contract, not a
      budget.
+  3. Sharded slicing — one durable 2-shard campaign time-sliced in
+     6-hour quanta must run at >= SHARDED_SLICE_RATIO_FLOOR of the speed
+     of the same campaign run once through the shard coordinator (batch
+     wall / sliced wall, median of alternated passes in one binary), and
+     its harvested CSV must equal the batch one. On a 4-vCPU host with
+     --fast, a service that forks its shard workers every quantum read
+     0.22-0.25; one that keeps them for the session's residency read
+     0.95-0.96.
 
 Usage: check_bench_service.py BENCH_service.json
 """
@@ -22,6 +30,7 @@ import json
 import sys
 
 THROUGHPUT_RATIO_FLOOR = 0.9
+SHARDED_SLICE_RATIO_FLOOR = 0.6
 
 
 def fail(msg):
@@ -70,10 +79,26 @@ def main():
         fail("8-concurrent run recorded no preemptions — the scheduler "
              "never actually time-sliced")
 
+    sharded = bench.get("sharded")
+    if not sharded:
+        fail("missing 'sharded' leg")
+    for field in ("sharded_slice_ratio", "output_identical"):
+        if field not in sharded:
+            fail(f"sharded leg has no '{field}'")
+    if sharded["output_identical"] is not True:
+        fail("the time-sliced sharded campaign's CSV diverged from its "
+             "batch run")
+    slice_ratio = sharded["sharded_slice_ratio"]
+    if slice_ratio < SHARDED_SLICE_RATIO_FLOOR:
+        fail(f"time-sliced sharded campaign runs at {slice_ratio:.3f}x its "
+             f"batch run (floor {SHARDED_SLICE_RATIO_FLOOR}); forking "
+             "shard workers every quantum reads this low")
+
     print("bench gate: OK: "
           f"cold {cold}s vs warm-resident {warm_resident}s; ratios " +
           ", ".join(f"{n}x={by_n[n].get('ratio'):.3f}"
-                    for n in sorted(by_n)))
+                    for n in sorted(by_n)) +
+          f"; sharded slice {slice_ratio:.3f}")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@
 #   1. start `clasp_cli serve` on a tiny world
 #   2. submit 4 campaigns from 2 tenants — one more than max_admitted,
 #      so the last one queues behind the admission controller
-#   3. kill -9 the daemon mid-run (no drain, no checkpoint-on-exit)
+#   3. kill -9 the daemon mid-run (no drain, no checkpoint-on-exit);
+#      the shard workers of the sharded campaign must exit on their own
+#      once their coordinator is gone
 #   4. restart it: the registry reloads, admitted/running campaigns are
 #      demoted to queued, durable ones warm-resume from checkpoints
 #   5. wait for all 4 to finish, shut the daemon down remotely
@@ -77,9 +79,9 @@ start_daemon() {
 echo "== start daemon =="
 start_daemon first
 
-echo "== submit 4 campaigns (2 tenants, max_admitted is 3) =="
+echo "== submit 4 campaigns (2 tenants, max_admitted is 3, one sharded) =="
 "$CLI" submit --config "$CFG" --tenant alice --region us-west1 --days $DAYS --seed 101 --durable on
-"$CLI" submit --config "$CFG" --tenant alice --region us-west1 --days $DAYS --seed 102 --durable on
+"$CLI" submit --config "$CFG" --tenant alice --region us-west1 --days $DAYS --seed 102 --durable on --shards 2
 "$CLI" submit --config "$CFG" --tenant bob   --region us-west1 --days $DAYS --seed 103 --durable off
 "$CLI" submit --config "$CFG" --tenant bob   --region us-west1 --days $DAYS --seed 104 --durable on
 
@@ -101,10 +103,33 @@ done
 status
 
 echo "== kill -9 the daemon mid-run =="
+# The daemon's children are the sharded campaign's parked workers (none
+# when that campaign is not resident at this instant).
+WORKERS="$(pgrep -P "$DAEMON_PID" || true)"
 kill -9 "$DAEMON_PID"
 wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=""
 if ! status >/dev/null 2>&1; then :; fi
+
+echo "== orphaned shard workers must exit: $(wc -w <<< "$WORKERS") found =="
+# Alive and not a zombie: an exited orphan waits for its new parent to
+# reap it, which is not this script's to check.
+alive() {
+  local stat
+  stat="$(ps -o stat= -p "$1" 2>/dev/null || true)"
+  [[ -n "$stat" && "$stat" != Z* ]]
+}
+for pid in $WORKERS; do
+  for _ in $(seq 1 50); do
+    alive "$pid" || break
+    sleep 0.1
+  done
+  if alive "$pid"; then
+    echo "service_smoke: shard worker $pid outlived its daemon by 5 s" >&2
+    kill -9 "$pid" 2>/dev/null || true
+    exit 1
+  fi
+done
 
 echo "== restart: registry reloads, queue resumes =="
 start_daemon second
